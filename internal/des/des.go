@@ -71,9 +71,11 @@ func DurationForBytes(n uint64, bytesPerSecond float64) Time {
 	return Time(math.Ceil(ps))
 }
 
-// Event state markers carried in Event.idx. Non-negative values are heap
+// Event state markers carried in event.idx. Non-negative values are heap
 // positions (heap implementation only); the calendar queue never tracks
-// positions, so its queued events carry idxQueued.
+// positions, so its queued events carry idxQueued. A pooled event keeps
+// the marker it died with (idxFired or idxCancelled), so a handle that
+// still matches its seq cancels nothing.
 const (
 	idxFired     = -1 // popped and fired (or currently firing)
 	idxCancelled = -2 // cancelled before firing
@@ -81,24 +83,34 @@ const (
 	idxQueued    = -4 // queued in the calendar (bucket or overflow)
 )
 
-// Event is a scheduled callback. Events with equal timestamps fire in the
-// order they were scheduled (FIFO), which keeps runs deterministic.
-type Event struct {
-	At  Time
-	Fn  func()
-	seq uint64
-	idx int // heap index, or one of the idx* state markers
+// event is a scheduled callback. Events with equal timestamps fire in the
+// order they were scheduled (FIFO), which keeps runs deterministic. Events
+// are recycled through the scheduler's eventPool, so callers never hold
+// one directly: they hold a Handle.
+type event struct {
+	at   Time
+	fn   func()
+	seq  uint64
+	idx  int    // heap index, or one of the idx* state markers
+	next *event // free-list link while pooled
 }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.idx == idxCancelled }
-
-// before reports whether e precedes o in the (At, seq) total firing order.
-func (e *Event) before(o *Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
+// before reports whether e precedes o in the (at, seq) total firing order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
 	return e.seq < o.seq
+}
+
+// Handle names one scheduled event, for Cancel. The event behind it is
+// recycled once it fires, or once the queue drops it after a Cancel; its
+// next use carries a new seq, which is unique per scheduler, so a stale
+// handle no longer matches and cancels nothing. The zero Handle cancels
+// nothing either.
+type Handle struct {
+	e   *event
+	seq uint64
 }
 
 // Probe observes scheduler execution for the observability layer. It is
@@ -121,7 +133,7 @@ type Scheduler struct {
 	maxT   Time
 	halted bool
 	probe  Probe
-	slab   []Event // bump allocator for events (see newEvent)
+	pool   eventPool
 
 	// Queue implementation. useHeap selects the reference binary heap
 	// (build tag des_heapq, or newHeapScheduler in tests); the default is
@@ -137,30 +149,41 @@ type Scheduler struct {
 	// counts staged events not yet fired or cancelled, so Pending stays
 	// exact while a cohort is in flight (Halt and RunBudget can leave
 	// staged leftovers for the next run to drain first).
-	cohort     []*Event
+	cohort     []*event
 	cohortPos  int
 	stagedLive int
 }
 
-// eventSlabSize is the bump-allocation block for events. Runs fire tens of
-// millions of events; carving them from slabs cuts the per-event heap
-// allocation to one per block. Events are never reused (pointers handed to
-// callers stay valid forever, so a retained *Event can always be
-// Cancelled safely); a spent slab becomes garbage once the events in it
-// have fired and their callbacks are cleared.
+// eventSlabSize is the bump-allocation block for events: the pool's miss
+// path carves them from slabs, one heap allocation per block.
 const eventSlabSize = 256
 
-// newEvent carves an event from the current slab.
-func (s *Scheduler) newEvent(t Time, fn func()) *Event {
-	if len(s.slab) == 0 {
-		s.slab = make([]Event, eventSlabSize)
+// eventPool recycles events. A fired event, and a cancelled one once its
+// queue has dropped it, goes on the free list; a new event takes one from
+// there before it carves the slab, so steady-state scheduling allocates
+// nothing. Every pooled event has a nil callback and so pins nothing.
+type eventPool struct {
+	free *event
+	slab []event
+}
+
+func (p *eventPool) get() *event {
+	if e := p.free; e != nil {
+		p.free = e.next
+		return e
 	}
-	e := &s.slab[0]
-	s.slab = s.slab[1:]
-	e.At = t
-	e.Fn = fn
-	e.seq = s.seq
+	if len(p.slab) == 0 {
+		p.slab = make([]event, eventSlabSize)
+	}
+	e := &p.slab[0]
+	p.slab = p.slab[1:]
 	return e
+}
+
+// put returns a dead event (idxFired or idxCancelled, fn already nil).
+func (p *eventPool) put(e *event) {
+	e.next = p.free
+	p.free = e
 }
 
 // NewScheduler returns a scheduler at time zero.
@@ -176,7 +199,7 @@ func newSchedulerWith(useHeap bool) *Scheduler {
 	if useHeap {
 		s.hq = make(eventHeap, 0, 1024)
 	} else {
-		s.cq.init()
+		s.cq.init(&s.pool)
 	}
 	return s
 }
@@ -203,48 +226,52 @@ func (s *Scheduler) Pending() int {
 // always indicates a model bug and silently clamping would hide it.
 //
 //finepack:hotpath every simulated action schedules through At
-func (s *Scheduler) At(t Time, fn func()) *Event {
+func (s *Scheduler) At(t Time, fn func()) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
-	e := s.newEvent(t, fn)
+	e := s.pool.get()
+	e.at, e.fn, e.seq = t, fn, s.seq
 	s.seq++
 	if s.useHeap {
 		s.hq.push(e)
 	} else {
 		s.cq.push(e)
 	}
-	return e
+	return Handle{e, e.seq}
 }
 
 // After schedules fn delay picoseconds from now.
-func (s *Scheduler) After(delay Time, fn func()) *Event {
+func (s *Scheduler) After(delay Time, fn func()) Handle {
 	return s.At(s.now+delay, fn)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op. The calendar queue cancels lazily
-// (the event becomes a tombstone skipped at pop time); either way the
+// already-cancelled event, through a stale handle, or through the zero
+// Handle is a no-op. The calendar queue cancels lazily (the event becomes
+// a tombstone dropped, and recycled, at pop time); either way the
 // callback is released immediately so a cancelled event never pins its
 // captures. A staged cohort sibling — popped in the same same-timestamp
 // batch but not yet fired — is cancelled too: batch popping must not make
 // cancellation able to miss.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil {
-		return
+func (s *Scheduler) Cancel(h Handle) {
+	e := h.e
+	if e == nil || e.seq != h.seq {
+		return // zero handle, or the event was recycled
 	}
 	switch {
-	case e.idx >= 0: // queued in the heap
+	case e.idx >= 0: // queued in the heap: removed, so recycled now
 		s.hq.remove(e.idx)
 		e.idx = idxCancelled
-		e.Fn = nil
+		e.fn = nil
+		s.pool.put(e)
 	case e.idx == idxQueued: // queued in the calendar: tombstone
 		e.idx = idxCancelled
-		e.Fn = nil
+		e.fn = nil
 		s.cq.live--
-	case e.idx == idxStaged: // popped with the firing cohort, not yet run
+	case e.idx == idxStaged: // staged: the run loop skips and recycles it
 		e.idx = idxCancelled
-		e.Fn = nil
+		e.fn = nil
 		s.stagedLive--
 	}
 	// idxFired / idxCancelled: no-op.
@@ -279,7 +306,7 @@ func (s *Scheduler) RunBudget(maxEvents uint64) (Time, error) {
 }
 
 // peek returns the earliest live queued event without popping, or nil.
-func (s *Scheduler) peek() *Event {
+func (s *Scheduler) peek() *event {
 	if s.useHeap {
 		return s.hq.peek()
 	}
@@ -320,11 +347,12 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 		// Next staged event: usually the cohort popped below; after a
 		// Halt or budget stop, the leftovers of an interrupted cohort,
 		// drained before the queue is consulted again.
-		var next *Event
+		var next *event
 		for s.cohortPos < len(s.cohort) {
 			e := s.cohort[s.cohortPos]
 			if e.idx != idxStaged { // cancelled while staged
 				s.cohortPos++
+				s.pool.put(e)
 				continue
 			}
 			next = e
@@ -332,13 +360,13 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 		}
 		if next == nil {
 			head := s.peek()
-			if head == nil || head.At > deadline {
+			if head == nil || head.at > deadline {
 				break
 			}
 			s.popCohort()
 			continue
 		}
-		if next.At > deadline {
+		if next.at > deadline {
 			// Leftover cohort from an earlier halted run, past this
 			// call's horizon: leave it staged.
 			break
@@ -351,16 +379,17 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 		s.cohortPos++
 		s.stagedLive--
 		next.idx = idxFired
-		s.now = next.At
+		s.now = next.at
 		s.fired++
 		if s.probe != nil {
-			s.probe.EventFired(next.At)
+			s.probe.EventFired(next.at)
 		}
-		fn := next.Fn
-		// Drop the callback before running it: the event lives on in its
-		// slab until the whole block is garbage, and holding the closure
-		// would pin everything it captures for that long too.
-		next.Fn = nil
+		// Recycle the event before running its callback, so the events
+		// the callback schedules can reuse it. The callback is dropped
+		// from the pooled event; holding it would pin its captures.
+		fn := next.fn
+		next.fn = nil
+		s.pool.put(next)
 		fn()
 	}
 	if s.now > s.maxT {

@@ -75,22 +75,22 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.At(10, func() { fired = true })
 	s.Cancel(e)
-	if !e.Cancelled() {
-		t.Fatal("event should report cancelled")
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after cancel, want 0", s.Pending())
 	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double-cancel and nil-cancel are no-ops.
+	// Double-cancel and zero-handle cancel are no-ops.
 	s.Cancel(e)
-	s.Cancel(nil)
+	s.Cancel(Handle{})
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	events := make([]*Event, 0, 10)
+	events := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
 		events = append(events, s.At(Time(i*10), func() { order = append(order, i) }))
@@ -371,4 +371,78 @@ func TestRunBudgetResetsPerCall(t *testing.T) {
 	if _, err := s.RunBudget(60); err != nil {
 		t.Fatalf("second call inherited the first call's spend: %v", err)
 	}
+}
+
+// TestWaitQueuesReuseStorageUnderBacklog keeps a standing backlog on a
+// Server and on a TokenPool, so their wait queues never drain to empty,
+// and checks that both serve strictly in arrival order while their
+// storage stays bounded by the backlog, not by the number served.
+func TestWaitQueuesReuseStorageUnderBacklog(t *testing.T) {
+	const backlog, total = 8, 10_000
+	check := func(t *testing.T, served []int, maxCap int) {
+		t.Helper()
+		if len(served) != total {
+			t.Fatalf("served %d, want %d", len(served), total)
+		}
+		for i, id := range served {
+			if id != i {
+				t.Fatalf("served %d at position %d: not FIFO", id, i)
+			}
+		}
+		if maxCap > 2*backlog {
+			t.Fatalf("wait queue grew to cap %d under a backlog of %d", maxCap, backlog)
+		}
+	}
+
+	t.Run("server", func(t *testing.T) {
+		s := NewScheduler()
+		srv := NewServer(s)
+		var served []int
+		next, maxCap := 0, 0
+		var submit func()
+		submit = func() {
+			id := next
+			next++
+			srv.Request(10, func() {
+				served = append(served, id)
+				if next < total {
+					// From a fresh event, not from inside the completion:
+					// finishService starts the next request itself once
+					// the callback returns.
+					s.After(0, submit)
+				}
+			})
+			maxCap = max(maxCap, cap(srv.queue))
+		}
+		for i := 0; i < backlog; i++ {
+			submit()
+		}
+		s.Run()
+		check(t, served, maxCap)
+	})
+
+	t.Run("token-pool", func(t *testing.T) {
+		s := NewScheduler()
+		p := NewTokenPool(s, 1)
+		var served []int
+		next, maxCap := 0, 0
+		var acquire func()
+		acquire = func() {
+			id := next
+			next++
+			p.Acquire(1, func() {
+				served = append(served, id)
+				s.After(10, func() { p.Release(1) })
+				if next < total {
+					acquire()
+				}
+			})
+			maxCap = max(maxCap, cap(p.waiters))
+		}
+		for i := 0; i < backlog; i++ {
+			acquire()
+		}
+		s.Run()
+		check(t, served, maxCap)
+	})
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -43,12 +44,22 @@ type fireRec struct {
 // stops. All randomness flows through one RNG consumed in firing order, so
 // the two implementations receive identical programs exactly as long as
 // their firing orders are identical — any divergence amplifies immediately.
-func oracleScript(useHeap bool, seed int64) []fireRec {
+//
+// Both queues recycle events, so agreement between them cannot show that
+// recycling is safe. The script therefore keeps every handle for the whole
+// run, cancelling through handles whose events were recycled long ago,
+// and checks each id on its own: it fires at most once, never after its
+// Cancel, and, unless cancelled first, exactly once by the end. A
+// violation is returned as an error.
+func oracleScript(useHeap bool, seed int64) ([]fireRec, error) {
 	const maxEvents = 4000
 	rng := rand.New(rand.NewSource(seed))
 	s := newSchedulerWith(useHeap)
 	var trace []fireRec
-	var created []*Event
+	var created []Handle
+	fired := make([]bool, maxEvents)
+	cancelled := make([]bool, maxEvents) // cancelled before it fired
+	var violation error
 	nextID := 0
 
 	randDelay := func() Time {
@@ -66,6 +77,13 @@ func oracleScript(useHeap bool, seed int64) []fireRec {
 
 	var schedule func(at Time)
 	body := func(id int) {
+		switch {
+		case fired[id]:
+			violation = fmt.Errorf("event %d fired twice", id)
+		case cancelled[id]:
+			violation = fmt.Errorf("event %d fired after its Cancel", id)
+		}
+		fired[id] = true
 		trace = append(trace, fireRec{id, s.Now(), s.Fired(), s.Pending()})
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			switch rng.Intn(8) {
@@ -79,9 +97,14 @@ func oracleScript(useHeap bool, seed int64) []fireRec {
 				}
 			case 4, 5:
 				// Cancel a random event in any state: queued, staged in the
-				// current cohort, already fired, or already cancelled.
+				// current cohort, already fired, or already cancelled —
+				// through a handle whose event may have been recycled.
 				if len(created) > 0 {
-					s.Cancel(created[rng.Intn(len(created))])
+					id := rng.Intn(len(created))
+					s.Cancel(created[id])
+					if !fired[id] {
+						cancelled[id] = true
+					}
 				}
 			case 6:
 				if rng.Intn(8) == 0 {
@@ -120,13 +143,24 @@ func oracleScript(useHeap bool, seed int64) []fireRec {
 		s.Run()
 	}
 	checkpoint(99)
-	return trace
+	if violation != nil {
+		return trace, violation
+	}
+	for id := 0; id < nextID; id++ {
+		if !fired[id] && !cancelled[id] {
+			return trace, fmt.Errorf("event %d neither fired nor was cancelled", id)
+		}
+	}
+	return trace, nil
 }
 
 func TestQueueEquivalenceRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		h := oracleScript(true, seed)
-		c := oracleScript(false, seed)
+		h, herr := oracleScript(true, seed)
+		c, cerr := oracleScript(false, seed)
+		if herr != nil || cerr != nil {
+			t.Fatalf("seed %d: heap: %v; calendar: %v", seed, herr, cerr)
+		}
 		if len(h) != len(c) {
 			t.Fatalf("seed %d: trace lengths differ: heap %d, calendar %d",
 				seed, len(h), len(c))
@@ -140,6 +174,42 @@ func TestQueueEquivalenceRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestStaleHandleCancelIsNoOp pins the handle contract: once an event's
+// slot is recycled for a new event, cancelling through the old handle
+// must leave the new event alone. Both ways an event dies are covered: it
+// fires, or it is cancelled and its queue drops it.
+func TestStaleHandleCancelIsNoOp(t *testing.T) {
+	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
+		s := mk()
+		nop := func() {}
+		firedOld := s.At(10, nop)
+		cancelledOld := s.At(20, func() { t.Error("cancelled event fired") })
+		s.At(30, nop) // the calendar drops the tombstone on its way here
+		s.Cancel(cancelledOld)
+		s.Run()
+
+		// All three events are back in the pool: three new ones reuse them.
+		n := 0
+		reused := map[*event]bool{}
+		for i := 0; i < 3; i++ {
+			reused[s.At(40, func() { n++ }).e] = true
+		}
+		for _, old := range []Handle{firedOld, cancelledOld} {
+			if !reused[old.e] {
+				t.Fatal("a dead event's slot was not reused")
+			}
+			s.Cancel(old)
+		}
+		if s.Pending() != 3 {
+			t.Fatalf("Pending = %d after stale cancels, want 3", s.Pending())
+		}
+		s.Run()
+		if n != 3 {
+			t.Fatalf("%d of the 3 new events fired", n)
+		}
+	})
+}
+
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
 		s := mk()
@@ -151,9 +221,6 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 			t.Fatalf("n = %d after RunUntil(15), want 1", n)
 		}
 		s.Cancel(e) // already fired: must not touch counters or the queue
-		if e.Cancelled() {
-			t.Fatal("fired event must not report cancelled")
-		}
 		if s.Pending() != 1 {
 			t.Fatalf("Pending = %d after cancelling a fired event, want 1", s.Pending())
 		}
@@ -193,7 +260,7 @@ func TestCancelStagedSiblingInCohort(t *testing.T) {
 	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
 		s := mk()
 		var order []string
-		events := map[string]*Event{}
+		events := map[string]Handle{}
 		events["a"] = s.At(5, func() {
 			order = append(order, "a")
 			s.Cancel(events["c"]) // staged sibling, not yet fired
@@ -217,12 +284,6 @@ func TestCancelStagedSiblingInCohort(t *testing.T) {
 			if order[i] != want[i] {
 				t.Fatalf("order = %v, want %v", order, want)
 			}
-		}
-		if !events["c"].Cancelled() {
-			t.Fatal("staged sibling must report cancelled")
-		}
-		if events["a"].Cancelled() {
-			t.Fatal("self-cancel of a firing event must be a no-op")
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("Pending = %d after run, want 0", s.Pending())

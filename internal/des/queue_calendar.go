@@ -22,17 +22,22 @@ import "math/bits"
 //     so bucket order and overflow order merge exactly.
 //   - Cancellation is lazy: a cancelled event becomes a tombstone dropped
 //     when its bucket position is reached (the heap's eager Remove is the
-//     behavior being replaced; both agree on every observable).
+//     behavior being replaced; both agree on every observable). Every
+//     drop point hands the tombstone back to the event pool.
 //   - The ring resizes lazily as event density shifts: it doubles when
 //     live events exceed calGrowFactor× the bucket count and halves when
-//     they fall below a quarter of it, rebuilding in O(live).
+//     they fall below a quarter of it, rebuilding in O(live + buckets).
+//     The ring, bitmap and bucket storage outlive a resize, so a ring that
+//     swings between sizes allocates only on its first swing.
 type calendarQueue struct {
-	buckets  []calBucket
-	mask     uint64 // len(buckets)-1; len is a power of two
-	bitmap   []uint64
-	curW     uint64 // scan cursor: absolute window number (At >> calWidthLog)
-	live     int    // queued non-tombstoned events (buckets + overflow)
+	buckets  []calBucket // capacity: the largest ring reached
+	mask     uint64      // len(buckets)-1; len is a power of two
+	bitmap   []uint64    // capacity: the largest ring reached, /64
+	curW     uint64      // scan cursor: absolute window number (at >> calWidthLog)
+	live     int         // queued non-tombstoned events (buckets + overflow)
 	overflow overflowHeap
+	pool     *eventPool // where dropped tombstones go
+	moving   []*event   // resize scratch: the live events being redistributed
 }
 
 const (
@@ -47,19 +52,25 @@ const (
 	calMinBuckets = 256
 	calMaxBuckets = 1 << 16
 	// calGrowFactor triggers a ring doubling once live events exceed this
-	// multiple of the bucket count (shrink triggers at 1/4 of the count,
-	// leaving a wide hysteresis band).
+	// multiple of the bucket count (shrink triggers at 1/4 of the count).
 	calGrowFactor = 4
+	// calKeepCap is the largest bucket capacity a resize keeps. Emptied
+	// buckets keep their storage, so a ring that oscillates between sizes
+	// reuses it; a burst bucket, holding more than 4× the grow-trigger
+	// average, is released instead so that it does not pin its peak for
+	// the rest of the run.
+	calKeepCap = 4 * calGrowFactor
 )
 
 // calBucket holds one window's events sorted by (At, seq); entries before
-// head are consumed (and nil'd so they never pin event slabs).
+// head are consumed (and nil'd: their events may already be recycled).
 type calBucket struct {
 	head int
-	ev   []*Event
+	ev   []*event
 }
 
-func (q *calendarQueue) init() {
+func (q *calendarQueue) init(pool *eventPool) {
+	q.pool = pool
 	q.buckets = make([]calBucket, calMinBuckets)
 	q.mask = calMinBuckets - 1
 	q.bitmap = make([]uint64, calMinBuckets/64)
@@ -67,8 +78,8 @@ func (q *calendarQueue) init() {
 
 // push enqueues an event: into its bucket when it lands within one ring
 // revolution of the scan cursor, into the overflow heap otherwise.
-func (q *calendarQueue) push(e *Event) {
-	w := uint64(e.At) >> calWidthLog
+func (q *calendarQueue) push(e *event) {
+	w := uint64(e.at) >> calWidthLog
 	if w < q.curW {
 		// The cursor ran ahead of the clock (it advances to the next
 		// event's window before that event fires); a new event between
@@ -92,10 +103,15 @@ func (q *calendarQueue) push(e *Event) {
 // bucket sorted by (At, seq). seq grows monotonically, so among equal
 // timestamps the new event always lands last and the common scheduling
 // patterns (future timestamps, zero-delay continuations) append at or
-// near the tail.
-func (q *calendarQueue) insert(e *Event, w uint64) {
+// near the tail. A full bucket that is being drained at its head while it
+// fills at its tail (the current window under a burst) compacts instead
+// of regrowing past its consumed prefix.
+func (q *calendarQueue) insert(e *event, w uint64) {
 	idx := w & q.mask
 	b := &q.buckets[idx]
+	if len(b.ev) == cap(b.ev) {
+		b.ev, b.head = compact(b.ev, b.head)
+	}
 	i := len(b.ev)
 	for i > b.head && e.before(b.ev[i-1]) {
 		i--
@@ -107,29 +123,30 @@ func (q *calendarQueue) insert(e *Event, w uint64) {
 }
 
 // peek returns the earliest live event without popping, or nil.
-func (q *calendarQueue) peek() *Event { return q.scan() }
+func (q *calendarQueue) peek() *event { return q.scan() }
 
 // popCohort pops every event sharing the minimum timestamp — contiguous at
 // the head of one bucket — marks them staged, and appends them to dst in
 // seq order.
 //
 //finepack:hotpath calendar dequeue, once per fired cohort
-func (q *calendarQueue) popCohort(dst []*Event) []*Event {
+func (q *calendarQueue) popCohort(dst []*event) []*event {
 	e := q.scan()
 	if e == nil {
 		return dst
 	}
-	at := e.At
+	at := e.at
 	idx := q.curW & q.mask
 	b := &q.buckets[idx]
 	for b.head < len(b.ev) {
 		c := b.ev[b.head]
-		if c.At != at {
+		if c.at != at {
 			break
 		}
 		b.ev[b.head] = nil
 		b.head++
 		if c.idx == idxCancelled {
+			q.pool.put(c)
 			continue
 		}
 		c.idx = idxStaged
@@ -148,7 +165,7 @@ func (q *calendarQueue) popCohort(dst []*Event) []*Event {
 // scan locates the earliest live event, advancing the cursor, dropping
 // tombstones, and migrating due overflow events along the way. It returns
 // nil only when no live event is queued.
-func (q *calendarQueue) scan() *Event {
+func (q *calendarQueue) scan() *event {
 	misses := 0
 	for q.live > 0 {
 		curIdx := q.curW & q.mask
@@ -158,7 +175,7 @@ func (q *calendarQueue) scan() *Event {
 			dB = (setIdx - curIdx) & q.mask
 		}
 		if of := q.overflowHead(); of != nil {
-			if dOv := (uint64(of.At) >> calWidthLog) - q.curW; !hasB || dOv <= dB {
+			if dOv := (uint64(of.at) >> calWidthLog) - q.curW; !hasB || dOv <= dB {
 				// The overflow head's window is due at or before the
 				// nearest non-empty bucket: merge that whole window into
 				// its bucket and rescan, so bucket and overflow events
@@ -176,7 +193,7 @@ func (q *calendarQueue) scan() *Event {
 		b := &q.buckets[idx]
 		for b.head < len(b.ev) {
 			e := b.ev[b.head]
-			if uint64(e.At)>>calWidthLog != q.curW {
+			if uint64(e.at)>>calWidthLog != q.curW {
 				// Later-revolution resident (possible after a cursor
 				// rewind shrank the horizon); not due this window.
 				break
@@ -184,6 +201,7 @@ func (q *calendarQueue) scan() *Event {
 			if e.idx == idxCancelled {
 				b.ev[b.head] = nil
 				b.head++
+				q.pool.put(e)
 				continue
 			}
 			return e
@@ -209,7 +227,7 @@ func (q *calendarQueue) scan() *Event {
 func (q *calendarQueue) migrateWindow() {
 	for {
 		e := q.overflowHead()
-		if e == nil || uint64(e.At)>>calWidthLog != q.curW {
+		if e == nil || uint64(e.at)>>calWidthLog != q.curW {
 			return
 		}
 		q.overflow.pop()
@@ -217,15 +235,15 @@ func (q *calendarQueue) migrateWindow() {
 	}
 }
 
-// overflowHead returns the earliest live overflow event, discarding
+// overflowHead returns the earliest live overflow event, dropping
 // tombstones at the heap root.
-func (q *calendarQueue) overflowHead() *Event {
+func (q *calendarQueue) overflowHead() *event {
 	for {
 		e := q.overflow.peek()
 		if e == nil || e.idx != idxCancelled {
 			return e
 		}
-		q.overflow.pop()
+		q.pool.put(q.overflow.pop())
 	}
 }
 
@@ -234,7 +252,7 @@ func (q *calendarQueue) overflowHead() *Event {
 // hitting buckets whose residents are revolutions away. A tombstone head
 // is a valid jump target: the scan drops it there and proceeds.
 func (q *calendarQueue) jumpToMin() {
-	var min *Event
+	var min *event
 	for wi, word := range q.bitmap {
 		for word != 0 {
 			i := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
@@ -251,7 +269,7 @@ func (q *calendarQueue) jumpToMin() {
 		min = of
 	}
 	if min != nil {
-		q.curW = uint64(min.At) >> calWidthLog
+		q.curW = uint64(min.at) >> calWidthLog
 	}
 }
 
@@ -286,35 +304,56 @@ func (q *calendarQueue) resetBucket(idx uint64) {
 }
 
 // resize rebuilds the ring with n buckets, redistributing live events and
-// permanently dropping tombstones; overflow events that now fit the wider
-// horizon migrate in, and events beyond a narrower one migrate out.
+// dropping tombstones; overflow events that now fit the wider horizon
+// migrate in, and events beyond a narrower one migrate out. The ring and
+// bitmap are re-sliced within the largest ring reached, and every emptied
+// bucket keeps up to calKeepCap of its storage.
 func (q *calendarQueue) resize(n int) {
-	old := q.buckets
-	q.buckets = make([]calBucket, n)
-	q.mask = uint64(n - 1)
-	q.bitmap = make([]uint64, n/64)
-	for i := range old {
-		b := &old[i]
-		for j := b.head; j < len(b.ev); j++ {
-			e := b.ev[j]
-			b.ev[j] = nil
-			if e == nil || e.idx != idxQueued {
+	moving := q.moving[:0]
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		for _, e := range b.ev[b.head:] {
+			if e.idx == idxCancelled {
+				q.pool.put(e)
 				continue
 			}
-			w := uint64(e.At) >> calWidthLog
-			if w-q.curW >= uint64(n) {
-				q.overflow.push(e)
-				continue
-			}
-			q.insert(e, w)
+			moving = append(moving, e)
+		}
+		clear(b.ev)
+		b.head = 0
+		if cap(b.ev) > calKeepCap {
+			b.ev = nil
+		} else {
+			b.ev = b.ev[:0]
 		}
 	}
+	if n > cap(q.buckets) {
+		grown := make([]calBucket, n)
+		copy(grown, q.buckets[:cap(q.buckets)])
+		q.buckets = grown
+		q.bitmap = make([]uint64, n/64)
+	} else {
+		q.buckets = q.buckets[:n]
+		q.bitmap = q.bitmap[:n/64]
+		clear(q.bitmap)
+	}
+	q.mask = uint64(n - 1)
+	for _, e := range moving {
+		w := uint64(e.at) >> calWidthLog
+		if w-q.curW >= uint64(n) {
+			q.overflow.push(e)
+			continue
+		}
+		q.insert(e, w)
+	}
+	clear(moving)
+	q.moving = moving[:0]
 	for {
 		of := q.overflowHead()
 		if of == nil {
 			return
 		}
-		w := uint64(of.At) >> calWidthLog
+		w := uint64(of.at) >> calWidthLog
 		if w-q.curW >= uint64(n) {
 			return
 		}
@@ -327,17 +366,17 @@ func (q *calendarQueue) resize(n int) {
 // ring horizon. Unlike the main eventHeap it tracks no positions: the
 // calendar cancels lazily, so removal never needs an index.
 type overflowHeap struct {
-	ev []*Event
+	ev []*event
 }
 
-func (h *overflowHeap) peek() *Event {
+func (h *overflowHeap) peek() *event {
 	if len(h.ev) == 0 {
 		return nil
 	}
 	return h.ev[0]
 }
 
-func (h *overflowHeap) push(e *Event) {
+func (h *overflowHeap) push(e *event) {
 	h.ev = append(h.ev, e)
 	i := len(h.ev) - 1
 	for i > 0 {
@@ -350,7 +389,7 @@ func (h *overflowHeap) push(e *Event) {
 	}
 }
 
-func (h *overflowHeap) pop() *Event {
+func (h *overflowHeap) pop() *event {
 	n := len(h.ev)
 	e := h.ev[0]
 	h.ev[0] = h.ev[n-1]

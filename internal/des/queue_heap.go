@@ -6,7 +6,7 @@ import "container/heap"
 // reference implementation: dead simple, position-tracked (Cancel removes
 // eagerly), and the oracle the calendar queue is fuzzed against. Selected
 // for a whole build with `-tags des_heapq`.
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -18,7 +18,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].idx = j
 }
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.idx = len(*h)
 	*h = append(*h, e)
 }
@@ -35,10 +35,10 @@ func (h *eventHeap) Pop() any {
 // push enqueues an event.
 //
 //finepack:hotpath heap enqueue, once per scheduled event (des_heapq builds)
-func (h *eventHeap) push(e *Event) { heap.Push(h, e) }
+func (h *eventHeap) push(e *event) { heap.Push(h, e) }
 
 // peek returns the minimum event without popping, or nil when empty.
-func (h eventHeap) peek() *Event {
+func (h eventHeap) peek() *event {
 	if len(h) == 0 {
 		return nil
 	}
@@ -52,13 +52,13 @@ func (h *eventHeap) remove(i int) { heap.Remove(h, i) }
 // seq order, marking each staged, and returns the extended slice.
 //
 //finepack:hotpath heap dequeue, once per fired cohort (des_heapq builds)
-func (h *eventHeap) popCohort(dst []*Event) []*Event {
+func (h *eventHeap) popCohort(dst []*event) []*event {
 	if len(*h) == 0 {
 		return dst
 	}
-	at := (*h)[0].At
-	for len(*h) > 0 && (*h)[0].At == at {
-		e := heap.Pop(h).(*Event)
+	at := (*h)[0].at
+	for len(*h) > 0 && (*h)[0].at == at {
+		e := heap.Pop(h).(*event)
 		e.idx = idxStaged
 		dst = append(dst, e)
 	}

@@ -38,10 +38,7 @@ func NewServer(sched *Scheduler) *Server {
 // Request enqueues a job needing the given service time; done (may be nil)
 // fires at completion. Jobs are served in arrival order.
 func (s *Server) Request(service Time, done func()) {
-	if s.qhead == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.qhead = 0
-	}
+	s.queue, s.qhead = compact(s.queue, s.qhead)
 	s.queue = append(s.queue, serverReq{service: service, done: done})
 	if !s.busy {
 		s.startNext()
@@ -128,10 +125,7 @@ func (p *TokenPool) Acquire(n int, cont func()) {
 		p.sched.After(0, cont)
 		return
 	}
-	if p.whead == len(p.waiters) {
-		p.waiters = p.waiters[:0]
-		p.whead = 0
-	}
+	p.waiters, p.whead = compact(p.waiters, p.whead)
 	p.waiters = append(p.waiters, tokenWait{n: n, cont: cont})
 	if w := len(p.waiters) - p.whead; w > p.MaxWaiters {
 		p.MaxWaiters = w
@@ -163,4 +157,22 @@ func (p *TokenPool) dispatch() {
 		p.waiters = p.waiters[:0]
 		p.whead = 0
 	}
+}
+
+// compact readies a head-consumed queue — a wait queue here, or a calendar
+// bucket — whose entries before head are consumed (and zeroed), for one
+// more append. An empty queue restarts at the front. A full one whose
+// consumed head is at least half of it moves its live tail down instead of
+// letting append regrow past a dead prefix, so a standing backlog reuses
+// its storage. Order is unchanged.
+func compact[T any](q []T, head int) ([]T, int) {
+	switch {
+	case head == len(q):
+		return q[:0], 0
+	case len(q) == cap(q) && 2*head >= len(q):
+		n := copy(q, q[head:])
+		clear(q[n:])
+		return q[:n], 0
+	}
+	return q, head
 }

@@ -181,7 +181,7 @@ type fpEgress struct {
 	q       *core.Queue
 	s       *sender
 	timeout des.Time
-	timer   *des.Event
+	timer   des.Handle
 	onIdle  func() // timeout-flush callback, bound once (re-armed per store)
 }
 
