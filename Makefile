@@ -132,11 +132,12 @@ bench-smoke:
 # and the end-to-end hot paths hotalloc polices statically (EndToEndSSSP,
 # Fig9Speedup, and the multi-hop store-and-forward path, MultiHopAllReduce),
 # so an alloc the analyzer misses (or an over-broad //finepack:allow) still
-# fails CI dynamically. The baseline is the recycled-event, resize-stable
-# DES snapshot.
-BENCH_BASELINE := BENCH_2026-10-16.json
+# fails CI dynamically. EncodeDecodePacket pins the one-buffer wire codec
+# and StreamedSSSP the streamed-trace path. The baseline is the snapshot
+# taken after packets became exact-size single allocations.
+BENCH_BASELINE := BENCH_2026-10-17.json
 comma := ,
-BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce
+BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP
 bench-compare:
 	mkdir -p .bench
 	go test -run='^$$' -bench='^($(subst $(comma),|,$(BENCH_GATES)))$$' \

@@ -10,15 +10,19 @@ type ByteMask [2]uint64
 
 // Set marks bytes [from, to) valid. Bounds are clamped to the line.
 func (m *ByteMask) Set(from, to int) {
-	if from < 0 {
-		from = 0
+	m[0] |= wordRange(from, to)
+	m[1] |= wordRange(from-64, to-64)
+}
+
+// wordRange returns a 64-bit word with bits [from, to) set, both bounds
+// clamped to [0, 64].
+func wordRange(from, to int) uint64 {
+	from = max(from, 0)
+	to = min(to, 64)
+	if from >= to {
+		return 0
 	}
-	if to > CacheLineBytes {
-		to = CacheLineBytes
-	}
-	for i := from; i < to; i++ {
-		m[i>>6] |= 1 << uint(i&63)
-	}
+	return ^uint64(0) >> uint(64-(to-from)) << uint(from)
 }
 
 // Get reports whether byte i is valid.
@@ -61,34 +65,39 @@ func (m *ByteMask) Runs() []Run {
 // the extended slice, letting hot flush paths reuse one scratch buffer
 // instead of allocating per entry.
 func (m *ByteMask) AppendRuns(dst []Run) []Run {
-	runs := dst
-	i := 0
-	for i < CacheLineBytes {
-		if !m.Get(i) {
-			i++
-			continue
-		}
-		start := i
-		for i < CacheLineBytes && m.Get(i) {
-			i++
-		}
-		runs = append(runs, Run{Start: start, Len: i - start})
+	for i := m.next(0, true); i < CacheLineBytes; {
+		end := m.next(i, false)
+		dst = append(dst, Run{Start: i, Len: end - i})
+		i = m.next(end, true)
 	}
-	return runs
+	return dst
 }
 
-// NumRuns returns the number of contiguous valid runs without allocating.
-func (m *ByteMask) NumRuns() int {
-	n := 0
-	prev := false
-	for i := 0; i < CacheLineBytes; i++ {
-		cur := m.Get(i)
-		if cur && !prev {
-			n++
+// next returns the first byte index at or after i whose valid bit equals
+// valid, or CacheLineBytes if there is none.
+func (m *ByteMask) next(i int, valid bool) int {
+	for w := i >> 6; w < len(m); w++ {
+		word := m[w]
+		if !valid {
+			word = ^word
 		}
-		prev = cur
+		if w == i>>6 {
+			word &= ^uint64(0) << uint(i&63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
 	}
-	return n
+	return CacheLineBytes
+}
+
+// NumRuns returns the number of contiguous valid runs without allocating:
+// a run starts at every valid byte whose predecessor is not valid, so the
+// starts are m &^ (m << 1) over the 128-bit mask, with bit 63 of word 0
+// carried into word 1.
+func (m *ByteMask) NumRuns() int {
+	lo, hi := m[0], m[1]
+	return bits.OnesCount64(lo&^(lo<<1)) + bits.OnesCount64(hi&^(hi<<1|lo>>63))
 }
 
 // MaskForRange builds a mask with bytes [from, to) set.

@@ -208,3 +208,103 @@ func TestLineAddr(t *testing.T) {
 		t.Fatal("LineAddr misaligned")
 	}
 }
+
+// oracleSet, oracleRuns and oracleNumRuns are the byte-at-a-time
+// definitions the word-parallel ByteMask operations must match.
+func oracleSet(m *ByteMask, from, to int) {
+	for i := max(from, 0); i < min(to, CacheLineBytes); i++ {
+		m[i>>6] |= 1 << uint(i&63)
+	}
+}
+
+func oracleRuns(m ByteMask) []Run {
+	var runs []Run
+	for i := 0; i < CacheLineBytes; {
+		if !m.Get(i) {
+			i++
+			continue
+		}
+		start := i
+		for i < CacheLineBytes && m.Get(i) {
+			i++
+		}
+		runs = append(runs, Run{Start: start, Len: i - start})
+	}
+	return runs
+}
+
+func oracleNumRuns(m ByteMask) int {
+	n := 0
+	prev := false
+	for i := 0; i < CacheLineBytes; i++ {
+		cur := m.Get(i)
+		if cur && !prev {
+			n++
+		}
+		prev = cur
+	}
+	return n
+}
+
+func checkMaskAgainstOracle(t *testing.T, m ByteMask) {
+	t.Helper()
+	want := oracleRuns(m)
+	got := m.AppendRuns(nil)
+	if len(got) != len(want) {
+		t.Fatalf("mask %#x: runs %+v, want %+v", m, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("mask %#x: runs %+v, want %+v", m, got, want)
+		}
+	}
+	if n := m.NumRuns(); n != oracleNumRuns(m) {
+		t.Fatalf("mask %#x: NumRuns = %d, want %d", m, n, oracleNumRuns(m))
+	}
+}
+
+// TestByteMaskMatchesOracle checks the word-parallel Set, MaskForRange,
+// NumRuns and AppendRuns against the byte loops: exhaustively over every
+// single range (bounds overshooting the line on both sides), exhaustively
+// over two-range masks whose boundaries sit at the line ends and around
+// the word boundary, and over random masks.
+func TestByteMaskMatchesOracle(t *testing.T) {
+	for from := -2; from <= CacheLineBytes+2; from++ {
+		for to := -2; to <= CacheLineBytes+2; to++ {
+			var want ByteMask
+			oracleSet(&want, from, to)
+			if got := MaskForRange(from, to); got != want {
+				t.Fatalf("MaskForRange(%d, %d) = %#x, want %#x", from, to, got, want)
+			}
+			got := ByteMask{0x5555, 1 << 63}
+			want = got
+			got.Set(from, to)
+			oracleSet(&want, from, to)
+			if got != want {
+				t.Fatalf("Set(%d, %d) onto a filled mask = %#x, want %#x", from, to, got, want)
+			}
+			checkMaskAgainstOracle(t, MaskForRange(from, to))
+		}
+	}
+	edges := []int{0, 1, 2, 31, 32, 62, 63, 64, 65, 66, 96, 125, 126, 127, 128}
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, c := range edges {
+				for _, d := range edges {
+					m := MaskForRange(a, b)
+					m.Set(c, d)
+					checkMaskAgainstOracle(t, m)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		m := ByteMask{rng.Uint64(), rng.Uint64()}
+		if i%2 == 1 { // sparse: long runs and gaps
+			m[0] &= rng.Uint64() & rng.Uint64()
+			m[1] |= rng.Uint64() | rng.Uint64()
+		}
+		checkMaskAgainstOracle(t, m)
+	}
+}

@@ -123,11 +123,11 @@ func UnmarshalHeader(b []byte) (OuterHeader, error) {
 	return h, nil
 }
 
-// encodeSubheader packs (offset, length) into cfg.SubheaderBytes bytes,
-// little-endian: bits [0,10) hold length-1, the rest the address offset
-// (Table II: ten bits are reserved for the length field in all
+// appendSubheader appends (offset, length) packed into cfg.SubheaderBytes
+// bytes, little-endian: bits [0,10) hold length-1, the rest the address
+// offset (Table II: ten bits are reserved for the length field in all
 // configurations).
-func encodeSubheader(cfg Config, offset uint64, length int) ([]byte, error) {
+func appendSubheader(dst []byte, cfg Config, offset uint64, length int) ([]byte, error) {
 	if length < 1 || length > 1<<LengthFieldBits {
 		return nil, fmt.Errorf("core: sub-packet length %d outside [1,%d]", length, 1<<LengthFieldBits)
 	}
@@ -137,10 +137,10 @@ func encodeSubheader(cfg Config, offset uint64, length int) ([]byte, error) {
 	v := uint64(length-1) | offset<<LengthFieldBits
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	return append([]byte(nil), buf[:cfg.SubheaderBytes]...), nil
+	return append(dst, buf[:cfg.SubheaderBytes]...), nil
 }
 
-// decodeSubheader reverses encodeSubheader.
+// decodeSubheader reverses appendSubheader.
 func decodeSubheader(cfg Config, b []byte) (offset uint64, length int, err error) {
 	if len(b) < cfg.SubheaderBytes {
 		return 0, 0, fmt.Errorf("core: sub-header needs %d bytes, have %d", cfg.SubheaderBytes, len(b))
@@ -155,11 +155,12 @@ func decodeSubheader(cfg Config, b []byte) (offset uint64, length int, err error
 
 // EncodePacket serializes a packet into its on-wire TLP bytes (header +
 // DW-padded payload; framing/sequence/LCRC are link-layer and excluded).
+// The result is one allocation at its final size.
 func EncodePacket(cfg Config, p *Packet) ([]byte, error) {
 	if err := ValidatePacket(cfg, p); err != nil {
 		return nil, err
 	}
-	var payload []byte
+	var out []byte
 	h := OuterHeader{Fmt: fmt4DWData, RequesterID: uint16(p.Dst)}
 
 	if p.Plain {
@@ -170,10 +171,10 @@ func EncodePacket(cfg Config, p *Packet) ([]byte, error) {
 		startPad := int(addr & 3)
 		h.Type = typeMWr
 		h.Address = addr &^ 3
-		payload = make([]byte, pcie.PadToDW(startPad+len(data)))
-		copy(payload[startPad:], data)
+		out = make([]byte, HeaderBytes+pcie.PadToDW(startPad+len(data)))
+		copy(out[HeaderBytes+startPad:], data)
 		endValid := (startPad+len(data)-1)%4 + 1
-		if len(payload) == 4 {
+		if len(out) == HeaderBytes+4 {
 			// Single-DW write: PCIe sets Last BE to zero and First BE
 			// covers the valid bytes.
 			h.LastBE = 0
@@ -185,32 +186,37 @@ func EncodePacket(cfg Config, p *Packet) ([]byte, error) {
 	} else {
 		h.Type = FinePackType
 		h.Address = p.BaseAddr
+		valid := len(p.Subs) * cfg.SubheaderBytes
 		for _, s := range p.Subs {
-			sub, err := encodeSubheader(cfg, s.Offset, len(s.Data))
-			if err != nil {
+			valid += len(s.Data)
+		}
+		out = make([]byte, HeaderBytes, HeaderBytes+pcie.PadToDW(valid))
+		for _, s := range p.Subs {
+			var err error
+			if out, err = appendSubheader(out, cfg, s.Offset, len(s.Data)); err != nil {
 				return nil, err
 			}
-			payload = append(payload, sub...)
-			payload = append(payload, s.Data...)
+			out = append(out, s.Data...)
 		}
-		valid := len(payload)
-		payload = append(payload, make([]byte, pcie.PadToDW(valid)-valid)...)
+		out = out[:cap(out)] // DW padding: zeroed by make
 		// Table I: "Last BE: set relative to FinePack payload" — it
 		// marks the valid bytes of the final DW so the receiver can
 		// strip padding. First BE is not needed (0).
 		h.FirstBE = 0
 		h.LastBE = beMask(0, (valid-1)%4+1)
 	}
-	h.LengthDW = len(payload) / 4
+	h.LengthDW = (len(out) - HeaderBytes) / 4
 	hdr, err := h.Marshal()
 	if err != nil {
 		return nil, err
 	}
-	return append(hdr[:], payload...), nil
+	copy(out, hdr[:])
+	return out, nil
 }
 
 // DecodePacket reverses EncodePacket. The destination GPU travels in the
-// requester-ID field under this simulator's convention.
+// requester-ID field under this simulator's convention. Every decoded
+// sub-packet's Data is a capacity-capped slice of one copy of the payload.
 func DecodePacket(cfg Config, wire []byte) (*Packet, error) {
 	h, err := UnmarshalHeader(wire)
 	if err != nil {
@@ -221,7 +227,7 @@ func DecodePacket(cfg Config, wire []byte) (*Packet, error) {
 		return nil, fmt.Errorf("core: payload is %d bytes, header says %d DW",
 			len(payload), h.LengthDW)
 	}
-	p := &Packet{Dst: int(h.RequesterID)}
+	var p *Packet
 
 	switch h.Type {
 	case typeMWr:
@@ -241,10 +247,8 @@ func DecodePacket(cfg Config, wire []byte) (*Packet, error) {
 		if end <= start {
 			return nil, fmt.Errorf("core: byte enables delimit empty write")
 		}
-		p.Plain = true
-		p.BaseAddr = h.Address + uint64(start)
-		p.Subs = []SubPacket{{Offset: 0, Data: append([]byte(nil), payload[start:end]...)}}
-		p.StoresMerged = 1
+		p = NewPlainPacket(cfg, int(h.RequesterID), h.Address+uint64(start),
+			append([]byte(nil), payload[start:end]...))
 	case FinePackType:
 		if h.LastBE == 0 {
 			return nil, fmt.Errorf("core: FinePack packet with empty Last BE")
@@ -253,35 +257,49 @@ func DecodePacket(cfg Config, wire []byte) (*Packet, error) {
 		if valid > len(payload) {
 			return nil, fmt.Errorf("core: Last BE claims %d valid bytes of %d", valid, len(payload))
 		}
-		p.BaseAddr = h.Address
-		pos := 0
-		for pos < valid {
-			if valid-pos < cfg.SubheaderBytes {
-				return nil, fmt.Errorf("core: trailing %d bytes cannot hold a sub-header", valid-pos)
-			}
-			offset, length, err := decodeSubheader(cfg, payload[pos:])
-			if err != nil {
-				return nil, err
-			}
+		n, err := countSubs(cfg, payload[:valid])
+		if err != nil {
+			return nil, err
+		}
+		data := append([]byte(nil), payload[:valid]...)
+		subs := make([]SubPacket, 0, n)
+		for pos := 0; pos < valid; {
+			offset, length, _ := decodeSubheader(cfg, data[pos:])
 			pos += cfg.SubheaderBytes
-			if pos+length > valid {
-				return nil, fmt.Errorf("core: sub-packet of %dB overruns payload", length)
-			}
-			p.Subs = append(p.Subs, SubPacket{
-				Offset: offset,
-				Data:   append([]byte(nil), payload[pos:pos+length]...),
-			})
+			subs = append(subs, SubPacket{Offset: offset, Data: data[pos : pos+length : pos+length]})
 			pos += length
 		}
-		p.StoresMerged = len(p.Subs)
+		p = &Packet{Dst: int(h.RequesterID), BaseAddr: h.Address, Subs: subs, StoresMerged: n}
+		p.finalize(cfg)
 	default:
 		return nil, fmt.Errorf("core: unknown TLP type %#b", h.Type)
 	}
-	p.finalize(cfg)
 	if err := ValidatePacket(cfg, p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// countSubs walks a FinePack payload's valid bytes sub-header by
+// sub-header and returns the sub-packet count, or an error if the
+// sub-packets do not tile the payload exactly.
+func countSubs(cfg Config, payload []byte) (int, error) {
+	n := 0
+	for pos := 0; pos < len(payload); n++ {
+		if len(payload)-pos < cfg.SubheaderBytes {
+			return 0, fmt.Errorf("core: trailing %d bytes cannot hold a sub-header", len(payload)-pos)
+		}
+		_, length, err := decodeSubheader(cfg, payload[pos:])
+		if err != nil {
+			return 0, err
+		}
+		pos += cfg.SubheaderBytes
+		if pos+length > len(payload) {
+			return 0, fmt.Errorf("core: sub-packet of %dB overruns payload", length)
+		}
+		pos += length
+	}
+	return n, nil
 }
 
 // beMask builds a 4-bit byte-enable mask with bits [from, to) set.

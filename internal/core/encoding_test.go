@@ -70,7 +70,7 @@ func TestSubheaderRoundTrip(t *testing.T) {
 	}{
 		{0, 1}, {63, 8}, {1<<30 - 1, 128}, {12345, 1024},
 	} {
-		b, err := encodeSubheader(cfg, c.offset, c.length)
+		b, err := appendSubheader(nil, cfg, c.offset, c.length)
 		if err != nil {
 			t.Fatalf("encode(%d,%d): %v", c.offset, c.length, err)
 		}
@@ -86,13 +86,13 @@ func TestSubheaderRoundTrip(t *testing.T) {
 
 func TestSubheaderRejects(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := encodeSubheader(cfg, 0, 0); err == nil {
+	if _, err := appendSubheader(nil, cfg, 0, 0); err == nil {
 		t.Fatal("zero length accepted")
 	}
-	if _, err := encodeSubheader(cfg, 0, 1025); err == nil {
+	if _, err := appendSubheader(nil, cfg, 0, 1025); err == nil {
 		t.Fatal("over length accepted")
 	}
-	if _, err := encodeSubheader(cfg, cfg.AddressableRange(), 8); err == nil {
+	if _, err := appendSubheader(nil, cfg, cfg.AddressableRange(), 8); err == nil {
 		t.Fatal("offset overflow accepted")
 	}
 	if _, _, err := decodeSubheader(cfg, []byte{1}); err == nil {

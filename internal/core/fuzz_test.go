@@ -58,17 +58,26 @@ func FuzzDecodePacket(f *testing.F) {
 	})
 }
 
-// FuzzQueueWrite feeds arbitrary store parameters through the queue and
-// checks the byte-accuracy invariant against a reference memory.
+// FuzzQueueWrite feeds arbitrary store, atomic and remote-load parameters
+// through the queue and checks the byte-accuracy invariant against a
+// reference memory, and the windows' running accounting after every
+// operation and flush.
 func FuzzQueueWrite(f *testing.F) {
-	f.Add(int64(1), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(int64(-9), bytes.Repeat([]byte{0xA5}, 200))
+	// Two stores, then 50 overwrites of one address. Each 4th byte keeps
+	// its destination and decodes to a write.
+	f.Add(int64(1), []byte{1, 2, 3, 4, 5, 6, 7, 2})
+	f.Add(int64(-9), bytes.Repeat([]byte{0xA5, 0xA5, 0xA5, 0x00}, 50))
+	// Two lines in one window, then an atomic and (entry-only) a remote
+	// load that each flush one line and leave the window open.
+	f.Add(int64(2), []byte{0, 0, 7, 0, 0, 1, 7, 0, 0, 2, 7, 0, 0, 0, 3, 6})
+	f.Add(int64(3), []byte{0, 0, 7, 0, 0, 1, 7, 0, 0, 2, 7, 0, 0, 0, 3, 9})
 
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		cfg := DefaultConfig()
 		cfg.SubheaderBytes = 2 + int(uint64(seed)%5)
 		cfg.QueueEntries = 4
 		cfg.MaxPayload = 512
+		cfg.LoadFlushEntryOnly = seed&1 != 0
 		if cfg.Validate() != nil {
 			return
 		}
@@ -85,18 +94,33 @@ func FuzzQueueWrite(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Interpret the fuzz input as a store script: 4 bytes per store
-		// (addr lo/hi, size, dst).
+		// Interpret the fuzz input as an operation script: 4 bytes per
+		// operation (addr lo/hi, size, dst + 3×kind). Kinds 0 and 1 write
+		// a store, 2 issues an atomic (at most 8 aligned bytes, so it never
+		// straddles a line), 3 a remote load.
 		for i := 0; i+4 <= len(script); i += 4 {
 			addr := uint64(script[i]) | uint64(script[i+1])<<8
 			size := int(script[i+2])%CacheLineBytes + 1
 			s := Store{Dst: int(script[i+3]) % 3, Addr: addr, Size: size}
-			applyStore(reference, s)
-			if err := q.Write(s); err != nil {
+			switch script[i+3] / 3 % 4 {
+			case 2:
+				s.Addr &^= 7
+				s.Size = size%8 + 1
+				applyStore(reference, s)
+				err = q.Atomic(s)
+			case 3:
+				q.LoadConflict(s.Dst, s.Addr, s.Size)
+			default:
+				applyStore(reference, s)
+				err = q.Write(s)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
+			checkQueueAccounting(t, q)
 		}
 		q.FlushAll(CauseRelease)
+		checkQueueAccounting(t, q)
 		if len(reference) != len(actual) {
 			t.Fatalf("byte sets differ: %d vs %d", len(reference), len(actual))
 		}
@@ -106,4 +130,33 @@ func FuzzQueueWrite(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkQueueAccounting recomputes every open window's payload and run
+// totals, and each partition's entry count, from the entries' byte masks.
+func checkQueueAccounting(t *testing.T, q *Queue) {
+	t.Helper()
+	for dst, p := range q.parts {
+		entries := 0
+		for _, w := range p.windows {
+			runs, used := 0, 0
+			for line, e := range w.entries {
+				n := e.mask.NumRuns()
+				if e.cost != e.mask.Count()+n*q.cfg.SubheaderBytes {
+					t.Fatalf("dst %d line %#x: cost %d, mask has %d runs of %d bytes",
+						dst, line, e.cost, n, e.mask.Count())
+				}
+				runs += n
+				used += e.cost
+			}
+			if w.runs != runs || w.payloadUsed != used {
+				t.Fatalf("dst %d window %#x: runs %d payloadUsed %d, entries sum to %d and %d",
+					dst, w.base, w.runs, w.payloadUsed, runs, used)
+			}
+			entries += len(w.entries)
+		}
+		if p.entries != entries {
+			t.Fatalf("dst %d: partition counts %d entries, windows hold %d", dst, p.entries, entries)
+		}
+	}
 }

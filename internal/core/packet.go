@@ -115,17 +115,28 @@ func (p *Packet) SubheaderOverhead(cfg Config) int {
 }
 
 // NewPlainPacket builds an ordinary memory-write packet carrying data to
-// dst at addr, with wire accounting under cfg.
+// dst at addr, with wire accounting under cfg. The packet and its single
+// sub-packet are one allocation.
 func NewPlainPacket(cfg Config, dst int, addr uint64, data []byte) *Packet {
-	p := &Packet{
-		Dst:          dst,
-		BaseAddr:     addr,
-		Subs:         []SubPacket{{Offset: 0, Data: data}},
-		Plain:        true,
-		StoresMerged: 1,
+	pp := &plainPacket{
+		Packet: Packet{
+			Dst:          dst,
+			BaseAddr:     addr,
+			Plain:        true,
+			StoresMerged: 1,
+		},
+		sub: [1]SubPacket{{Offset: 0, Data: data}},
 	}
-	p.finalize(cfg)
-	return p
+	pp.Subs = pp.sub[:]
+	pp.finalize(cfg)
+	return &pp.Packet
+}
+
+// plainPacket co-allocates a plain packet with the backing array of its
+// one-element Subs.
+type plainPacket struct {
+	Packet
+	sub [1]SubPacket
 }
 
 // Depacketize reverses the packetizer: it expands a packet into the

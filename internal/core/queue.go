@@ -35,8 +35,9 @@ type Queue struct {
 	// Recycled windows keep their entry map (emptied) and order slice;
 	// recycled entries keep their data array — safe because the byte mask
 	// is reset and all reads are mask-gated. Emitted packets and their
-	// payload buffers are NOT recycled: they escape into the interconnect
-	// and destination-side de-packetizer with unknown lifetime.
+	// payload buffers are not recycled but allocated at their exact final
+	// size: tens of thousands can be in flight at once, and a pool would
+	// hold that peak, at its largest capacities, for the rest of the run.
 	freeWindows []*window
 	freeEntries []*lineEntry
 	runScratch  []Run
@@ -114,12 +115,15 @@ type partition struct {
 // window is one open outer transaction: a base address, its line entries,
 // and the exact payload accounting for the current contents —
 // Σ per entry (enabled bytes + runs × sub-header), the complement of the
-// paper's "available payload length register".
+// paper's "available payload length register" — with the run count beside
+// it, so a flush knows its packet's sub-packet count and data bytes before
+// it allocates.
 type window struct {
 	base        uint64
 	entries     map[uint64]*lineEntry
 	order       []uint64
 	payloadUsed int
+	runs        int // Σ per entry mask.NumRuns()
 	stores      int
 }
 
@@ -204,6 +208,7 @@ func (q *Queue) releaseWindow(w *window) {
 	}
 	w.order = w.order[:0]
 	w.payloadUsed = 0
+	w.runs = 0
 	w.stores = 0
 	q.freeWindows = append(q.freeWindows, w)
 }
@@ -325,13 +330,15 @@ func (q *Queue) mergeSegment(p *partition, w *window, s Store, seg segment) {
 	segMask := MaskForRange(seg.from, seg.to)
 	q.stats.BytesOverwritten += Bytes(e.mask.OverlapCount(segMask))
 
-	oldCost := e.cost
+	oldCost, oldRuns := e.cost, e.mask.NumRuns()
 	for i := seg.from; i < seg.to; i++ {
 		e.data[i] = s.Byte(seg.dataOff + (i - seg.from))
 	}
 	e.mask.Or(segMask)
-	e.cost = e.mask.Count() + e.mask.NumRuns()*q.cfg.SubheaderBytes
+	runs := e.mask.NumRuns()
+	e.cost = e.mask.Count() + runs*q.cfg.SubheaderBytes
 	w.payloadUsed += e.cost - oldCost
+	w.runs += runs - oldRuns
 }
 
 // FlushAll flushes every partition: the response to a system-scoped
@@ -526,6 +533,7 @@ func (q *Queue) flushEntry(p *partition, w *window, line uint64, cause FlushCaus
 		q.emit(pkt)
 	}
 	w.payloadUsed -= e.cost
+	w.runs -= e.mask.NumRuns()
 	delete(w.entries, line)
 	q.releaseEntry(e)
 	p.entries--
@@ -547,14 +555,22 @@ func (q *Queue) flushEntry(p *partition, w *window, line uint64, cause FlushCaus
 func (q *Queue) flushWindow(p *partition, w *window, cause FlushCause) {
 	q.stats.Flushes[cause]++
 
-	pkt := &Packet{Dst: p.dst, BaseAddr: w.base, Cause: cause}
+	// The window's accounting sizes everything up front: runs bounds the
+	// sub-packets (fallback runs go to plain packets instead) and
+	// payloadUsed less the sub-headers is exactly the enabled bytes, so
+	// the packet, its Subs and one backing payload buffer are three
+	// allocations whatever the run count. Sub-slices are capacity-capped
+	// so no append through one can reach a neighbour. No emit happens
+	// until extraction is done, so the shared run scratch cannot be
+	// trampled by reentrant callbacks.
+	pkt := &Packet{
+		Dst:      p.dst,
+		BaseAddr: w.base,
+		Subs:     make([]SubPacket, 0, w.runs),
+		Cause:    cause,
+	}
 	var fallbacks []*Packet
-	// One backing buffer carries every sub-packet's payload: payloadUsed
-	// bounds the window's enabled bytes, so a single allocation replaces
-	// one per run. Sub-slices are capacity-capped so no append through one
-	// can reach a neighbour. No emit happens until extraction is done, so
-	// the shared run scratch cannot be trampled by reentrant callbacks.
-	buf := make([]byte, 0, w.payloadUsed)
+	buf := make([]byte, 0, w.payloadUsed-w.runs*q.cfg.SubheaderBytes)
 	for _, line := range w.order {
 		e := w.entries[line]
 		q.runScratch = e.mask.AppendRuns(q.runScratch[:0])

@@ -421,3 +421,37 @@ func TestNilEmitDiscards(t *testing.T) {
 		t.Fatal("stats should accumulate even without an emit callback")
 	}
 }
+
+// TestFlushWindowAllocsIndependentOfRuns: a flush sizes its packet from the
+// window's own accounting, so a 60-run window costs no more allocations
+// than a 1-run one.
+func TestFlushWindowAllocsIndependentOfRuns(t *testing.T) {
+	flushAllocs := func(runs int) float64 {
+		q, err := NewQueue(DefaultConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			for i := 0; i < runs; i++ {
+				// Two 1-byte runs per line, at bytes 0 and 2.
+				mustWrite(t, q, Store{Dst: 1, Addr: uint64(i/2)*CacheLineBytes + uint64(i%2)*2, Size: 1})
+			}
+			q.FlushAll(CauseRelease)
+		})
+	}
+	if one, sixty := flushAllocs(1), flushAllocs(60); one != sixty {
+		t.Fatalf("flush allocates %.1f objects for 1 run, %.1f for 60", one, sixty)
+	}
+}
+
+var packetSink *Packet
+
+func TestNewPlainPacketIsOneAllocation(t *testing.T) {
+	cfg := DefaultConfig()
+	data := []byte{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(100, func() {
+		packetSink = NewPlainPacket(cfg, 1, 0x40, data)
+	}); n != 1 {
+		t.Fatalf("NewPlainPacket allocates %.1f objects, want 1", n)
+	}
+}

@@ -3,6 +3,7 @@ package des
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -239,6 +240,40 @@ func TestServerFIFOAndUtilization(t *testing.T) {
 	}
 	if u := srv.Utilization(); u != 1 {
 		t.Fatalf("Utilization = %v, want 1 (always busy)", u)
+	}
+}
+
+// TestServerReentrantRequestWithBacklog re-enters Request from a
+// completion callback while a backlog waits: the server must still hold one
+// request in service at a time and serve the backlog before the new one.
+func TestServerReentrantRequestWithBacklog(t *testing.T) {
+	s := NewScheduler()
+	srv := NewServer(s)
+	var order []string
+	var at []Time
+	finish := func(name string) func() {
+		return func() {
+			order = append(order, name)
+			at = append(at, s.Now())
+		}
+	}
+	srv.Request(10, func() {
+		finish("a")()
+		srv.Request(10, finish("c"))
+		if srv.QueueLen() != 2 {
+			t.Errorf("QueueLen after re-entry = %d, want 2 (b in service, c waiting)", srv.QueueLen())
+		}
+	})
+	srv.Request(10, finish("b"))
+	end := s.Run()
+	if got := strings.Join(order, ","); got != "a,b,c" {
+		t.Fatalf("completion order = %s, want a,b,c", got)
+	}
+	if len(at) != 3 || at[0] != 10 || at[1] != 20 || at[2] != 30 {
+		t.Fatalf("completion times = %v, want [10 20 30] (one request in service at a time)", at)
+	}
+	if end != 30 || srv.Busy != 30 || srv.Served != 3 {
+		t.Fatalf("end = %v, Busy = %v, Served = %d; want 30, 30, 3", end, srv.Busy, srv.Served)
 	}
 }
 

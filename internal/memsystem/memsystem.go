@@ -98,16 +98,17 @@ func (m *Memory) Equal(other *Memory) bool {
 // ByteTracker counts unique bytes touched by a store stream at line
 // granularity: the denominator of the "useful bytes" category in Fig 10.
 // Unlike Memory it stores no data, only enable bits, so tracking millions
-// of stores is cheap.
+// of stores is cheap. Masks are stored by value, so a tracker whose map has
+// grown to a working set allocates nothing more, even across Reset.
 type ByteTracker struct {
-	lines map[uint64]*core.ByteMask
+	lines map[uint64]core.ByteMask
 	// Touched counts total (non-unique) bytes observed.
 	Touched uint64
 }
 
 // NewByteTracker returns an empty tracker.
 func NewByteTracker() *ByteTracker {
-	return &ByteTracker{lines: make(map[uint64]*core.ByteMask)}
+	return &ByteTracker{lines: make(map[uint64]core.ByteMask)}
 }
 
 // Add records a store's byte range and returns how many of its bytes were
@@ -124,14 +125,11 @@ func (t *ByteTracker) Add(addr uint64, size int) int {
 		if n > remaining {
 			n = remaining
 		}
-		mask, ok := t.lines[la]
-		if !ok {
-			mask = &core.ByteMask{}
-			t.lines[la] = mask
-		}
+		mask := t.lines[la]
 		add := core.MaskForRange(from, from+n)
 		newBytes += n - mask.OverlapCount(add)
 		mask.Or(add)
+		t.lines[la] = mask
 		a += uint64(n)
 		remaining -= n
 	}

@@ -150,6 +150,25 @@ func TestByteTrackerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestByteTrackerWarmAddAllocFree: once a tracker's map has grown to the
+// working set, Reset keeps it and re-adding the same lines allocates
+// nothing.
+func TestByteTrackerWarmAddAllocFree(t *testing.T) {
+	tr := NewByteTracker()
+	addAll := func() {
+		for i := 0; i < 512; i++ {
+			tr.Add(uint64(i)*100, 40)
+		}
+	}
+	addAll()
+	if n := testing.AllocsPerRun(20, func() {
+		tr.Reset()
+		addAll()
+	}); n != 0 {
+		t.Fatalf("warmed ByteTracker allocates %.1f objects per Reset+Add pass, want 0", n)
+	}
+}
+
 func TestIngressBufferDrains(t *testing.T) {
 	sched := des.NewScheduler()
 	b := NewIngressBuffer(sched, 4, 900e9)
