@@ -132,12 +132,13 @@ bench-smoke:
 # and the end-to-end hot paths hotalloc polices statically (EndToEndSSSP,
 # Fig9Speedup, and the multi-hop store-and-forward path, MultiHopAllReduce),
 # so an alloc the analyzer misses (or an over-broad //finepack:allow) still
-# fails CI dynamically. EncodeDecodePacket pins the one-buffer wire codec
-# and StreamedSSSP the streamed-trace path. The baseline is the snapshot
-# taken after packets became exact-size single allocations.
-BENCH_BASELINE := BENCH_2026-10-17.json
+# fails CI dynamically. EncodeDecodePacket pins the one-buffer wire codec,
+# StreamedSSSP the streamed-trace path, and WorkloadGenerate the in-place
+# CSR graph build. The baseline is the snapshot taken after graph building
+# stopped allocating per row.
+BENCH_BASELINE := BENCH_2026-10-17-csr.json
 comma := ,
-BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP
+BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate
 bench-compare:
 	mkdir -p .bench
 	go test -run='^$$' -bench='^($(subst $(comma),|,$(BENCH_GATES)))$$' \
@@ -150,6 +151,7 @@ bench-compare:
 fuzz:
 	go test -fuzz=FuzzDecodePacket -fuzztime=30s ./internal/core/
 	go test -fuzz=FuzzQueueWrite -fuzztime=30s ./internal/core/
+	go test -fuzz=FuzzFromEdgeList -fuzztime=30s ./internal/datasets/
 	go test -fuzz=FuzzLoad -fuzztime=30s ./internal/trace/
 	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/

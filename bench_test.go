@@ -431,6 +431,27 @@ func BenchmarkDepacketize(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadGenerate times trace generation for the two graph
+// workloads, SSSP (a WebLike crawl graph) and PageRank (a CageLike matrix),
+// at a finepackd job's size (2 GPUs, scale 0.05, one iteration) and at
+// benchParams() on 4 GPUs. Building each CSR graph costs a fixed number of
+// allocations whatever its row count, so allocs/op is gated.
+func BenchmarkWorkloadGenerate(b *testing.B) {
+	job := workloads.Params{Scale: 0.05, Iterations: 1, Seed: 1}
+	gens := []workloads.Workload{workloads.NewSSSP(), workloads.NewPagerank()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, w := range gens {
+			if _, err := w.Generate(2, job); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := w.Generate(4, benchParams()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEndToEndSSSP measures a full simulator run of the most
 // communication-intensive workload under FinePack.
 func BenchmarkEndToEndSSSP(b *testing.B) {

@@ -12,10 +12,16 @@ func CageLike(n, avgDeg, halfBand int, seed int64) *Graph {
 	if n <= 0 || halfBand <= 0 {
 		return &Graph{N: 0, RowPtr: []int32{0}}
 	}
+	srcs, dsts := cageLikeEdges(n, avgDeg, halfBand, seed)
+	return fromEdgeList(n, srcs, dsts)
+}
+
+// cageLikeEdges draws CageLike's edge list, before deduplication.
+func cageLikeEdges(n, avgDeg, halfBand int, seed int64) (srcs, dsts []int32) {
 	rng := rand.New(rand.NewSource(seed))
 	m := n * avgDeg
-	srcs := make([]int32, 0, m)
-	dsts := make([]int32, 0, m)
+	srcs = make([]int32, 0, m)
+	dsts = make([]int32, 0, m)
 	for len(srcs) < m {
 		u := rng.Intn(n)
 		// Two-sided exponential offset, truncated to the band.
@@ -33,5 +39,5 @@ func CageLike(n, avgDeg, halfBand int, seed int64) *Graph {
 		srcs = append(srcs, int32(u))
 		dsts = append(dsts, int32(v))
 	}
-	return fromEdgeList(n, srcs, dsts)
+	return srcs, dsts
 }

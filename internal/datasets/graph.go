@@ -10,7 +10,7 @@ package datasets
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph / sparse matrix in CSR form.
@@ -78,47 +78,97 @@ func (g *Graph) Transpose() *Graph {
 
 // fromEdgeList builds a CSR graph from (src,dst) pairs, deduplicating
 // parallel edges and dropping self-loops.
+//
+// It takes ownership of srcs and dsts: srcs is overwritten as scratch and
+// dsts becomes the graph's Col, so callers pass freshly built slices and
+// never touch them again. The only allocations are RowPtr and the Graph,
+// whatever the row count.
 func fromEdgeList(n int, srcs, dsts []int32) *Graph {
-	type void = struct{}
-	_ = void{}
-	counts := make([]int32, n+1)
-	// First pass: sort per-row by bucketing. Use a per-row slice build:
-	// count, prefix-sum, scatter, then sort+dedup each row.
-	for i := range srcs {
-		if srcs[i] != dsts[i] {
-			counts[srcs[i]+1]++
+	rowPtr := make([]int32, n+1)
+	for i, s := range srcs {
+		if s != dsts[i] {
+			rowPtr[s+1]++
 		}
 	}
-	rowPtr := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		rowPtr[v+1] = rowPtr[v] + counts[v+1]
+		rowPtr[v+1] += rowPtr[v]
 	}
-	col := make([]int32, rowPtr[n])
-	fill := make([]int32, n)
-	for i := range srcs {
-		if srcs[i] == dsts[i] {
+	// Give each edge its CSR slot, with rowPtr[s] as row s's cursor;
+	// self-loops take the slots past the last row. The cursors end at
+	// each row's end, so shifting rowPtr right by one restores the starts.
+	loops := rowPtr[n]
+	for i, s := range srcs {
+		if s == dsts[i] {
+			srcs[i] = loops
+			loops++
 			continue
 		}
-		s := srcs[i]
-		col[rowPtr[s]+fill[s]] = dsts[i]
-		fill[s]++
+		srcs[i] = rowPtr[s]
+		rowPtr[s]++
 	}
-	// Sort and dedup rows, compacting in place.
-	out := col[:0]
-	newPtr := make([]int32, n+1)
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+	permute(dsts, srcs)
+	// Sort and dedup each row, compacting dsts and rewriting rowPtr as the
+	// rows shrink. The write index never passes the row being read.
+	k := int32(0)
+	start := int32(0)
 	for v := 0; v < n; v++ {
-		row := col[rowPtr[v] : rowPtr[v]+fill[v]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		end := rowPtr[v+1]
+		row := dsts[start:end]
+		slices.Sort(row)
 		prev := int32(-1)
 		for _, c := range row {
 			if c != prev {
-				out = append(out, c)
+				dsts[k] = c
+				k++
 				prev = c
 			}
 		}
-		newPtr[v+1] = int32(len(out))
+		rowPtr[v+1] = k
+		start = end
 	}
-	return &Graph{N: n, RowPtr: newPtr, Col: out}
+	return &Graph{N: n, RowPtr: rowPtr, Col: dsts[:k:k]}
+}
+
+// permute moves every dsts[i] to position slots[i], overwriting slots.
+// It follows the permutation's cycles: swapping the edge at i into slot
+// slots[i] puts that edge in place for good, since no other edge wants the
+// slot, so any order of such swaps finishes. Each cycle is a chain of
+// dependent cache misses, so several lanes follow chains at once and keep
+// their misses in flight together; a lane that finishes claims the next
+// position not yet in place.
+func permute(dsts, slots []int32) {
+	const lanes = 16
+	next := 0
+	claim := func() int {
+		for next < len(slots) && int(slots[next]) == next {
+			next++
+		}
+		next++
+		return next - 1
+	}
+	var at [lanes]int
+	for l := range at {
+		at[l] = claim()
+	}
+	for live := true; live; {
+		live = false
+		for l := range at {
+			i := at[l]
+			if i >= len(slots) {
+				continue
+			}
+			live = true
+			j := slots[i]
+			if int(j) == i {
+				at[l] = claim()
+				continue
+			}
+			dsts[i], dsts[j] = dsts[j], dsts[i]
+			slots[i], slots[j] = slots[j], slots[i]
+		}
+	}
 }
 
 // Banded generates the banded matrix Jacobi uses ("synthetically generated
@@ -198,11 +248,17 @@ func WebLike(n, avgDeg int, crossFrac float64, seed int64) *Graph {
 	if n <= 0 {
 		return &Graph{N: 0, RowPtr: []int32{0}}
 	}
+	srcs, dsts := webLikeEdges(n, avgDeg, crossFrac, seed)
+	return fromEdgeList(n, srcs, dsts)
+}
+
+// webLikeEdges draws WebLike's edge list, before deduplication.
+func webLikeEdges(n, avgDeg int, crossFrac float64, seed int64) (srcs, dsts []int32) {
 	rng := rand.New(rand.NewSource(seed))
 	clusterSize := 256
 	m := n * avgDeg
-	srcs := make([]int32, 0, m)
-	dsts := make([]int32, 0, m)
+	srcs = make([]int32, 0, m)
+	dsts = make([]int32, 0, m)
 	for len(srcs) < m {
 		u := rng.Intn(n)
 		var v int
@@ -223,7 +279,7 @@ func WebLike(n, avgDeg int, crossFrac float64, seed int64) *Graph {
 		srcs = append(srcs, int32(u))
 		dsts = append(dsts, int32(v))
 	}
-	return fromEdgeList(n, srcs, dsts)
+	return srcs, dsts
 }
 
 // RGG2D generates a random geometric graph (the rgg stand-in for ALS):

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,6 +21,7 @@ type Label struct {
 // Counter is a monotonically increasing uint64 metric.
 type Counter struct {
 	labels []Label
+	sig    string
 	v      uint64
 }
 
@@ -39,6 +40,7 @@ func (c *Counter) set(n uint64) { c.v = n }
 // Gauge is a last-value float64 metric.
 type Gauge struct {
 	labels []Label
+	sig    string
 	v      float64
 }
 
@@ -52,6 +54,7 @@ func (g *Gauge) Value() float64 { return g.v }
 // stats.FixedHistogram.
 type Histogram struct {
 	labels []Label
+	sig    string
 	h      *stats.FixedHistogram
 }
 
@@ -112,7 +115,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 			return c
 		}
 	}
-	c := &Counter{labels: labels}
+	c := &Counter{labels: labels, sig: labelSig(labels)}
 	f.counters = append(f.counters, c)
 	return c
 }
@@ -125,7 +128,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 			return g
 		}
 	}
-	g := &Gauge{labels: labels}
+	g := &Gauge{labels: labels, sig: labelSig(labels)}
 	f.gauges = append(f.gauges, g)
 	return g
 }
@@ -139,7 +142,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 			return h
 		}
 	}
-	h := &Histogram{labels: labels, h: stats.NewFixedHistogram(bounds...)}
+	h := &Histogram{labels: labels, sig: labelSig(labels), h: stats.NewFixedHistogram(bounds...)}
 	f.hists = append(f.hists, h)
 	return h
 }
@@ -171,6 +174,8 @@ func formatFloat(v float64) string {
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
+// labelSig renders labels into the string samples sort by. Each series
+// stores its signature at registration, so sorting builds no strings.
 func labelSig(labels []Label) string {
 	var b strings.Builder
 	for _, l := range labels {
@@ -187,7 +192,7 @@ func labelSig(labels []Label) string {
 func (r *Registry) Snapshot() *Exposition {
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	e := &Exposition{}
 	for _, f := range fams {
 		ef := ExpoFamily{Name: f.name, Help: f.help, Type: f.typ}
@@ -195,7 +200,7 @@ func (r *Registry) Snapshot() *Exposition {
 		case "counter":
 			cs := make([]*Counter, len(f.counters))
 			copy(cs, f.counters)
-			sort.Slice(cs, func(i, j int) bool { return labelSig(cs[i].labels) < labelSig(cs[j].labels) })
+			slices.SortFunc(cs, func(a, b *Counter) int { return strings.Compare(a.sig, b.sig) })
 			for _, c := range cs {
 				ef.Samples = append(ef.Samples, ExpoSample{
 					Name: f.name, Labels: c.labels, Value: strconv.FormatUint(c.v, 10),
@@ -204,7 +209,7 @@ func (r *Registry) Snapshot() *Exposition {
 		case "gauge":
 			gs := make([]*Gauge, len(f.gauges))
 			copy(gs, f.gauges)
-			sort.Slice(gs, func(i, j int) bool { return labelSig(gs[i].labels) < labelSig(gs[j].labels) })
+			slices.SortFunc(gs, func(a, b *Gauge) int { return strings.Compare(a.sig, b.sig) })
 			for _, g := range gs {
 				ef.Samples = append(ef.Samples, ExpoSample{
 					Name: f.name, Labels: g.labels, Value: formatFloat(g.v),
@@ -213,7 +218,7 @@ func (r *Registry) Snapshot() *Exposition {
 		case "histogram":
 			hs := make([]*Histogram, len(f.hists))
 			copy(hs, f.hists)
-			sort.Slice(hs, func(i, j int) bool { return labelSig(hs[i].labels) < labelSig(hs[j].labels) })
+			slices.SortFunc(hs, func(a, b *Histogram) int { return strings.Compare(a.sig, b.sig) })
 			for _, h := range hs {
 				bounds := h.h.Bounds()
 				for i, b := range bounds {

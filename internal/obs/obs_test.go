@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,6 +172,30 @@ func TestMetricsFamiliesSorted(t *testing.T) {
 			t.Fatalf("families out of order: %q after %q", name, prev)
 		}
 		prev = name
+	}
+}
+
+// TestSamplesSortedBySignature pins the sample order within a family: by
+// the rendered label signature, not label by label. Key "a!" renders as
+// "a!=" and sorts before "a=", although "a" < "a!" as keys.
+func TestSamplesSortedBySignature(t *testing.T) {
+	reg := NewRegistry()
+	for _, k := range []string{"b", "a", "a!"} {
+		reg.Counter("c_total", "h", Label{k, "1"})
+		reg.Gauge("g", "h", Label{k, "1"})
+		reg.Histogram("h", "h", []float64{1}, Label{k, "1"})
+	}
+	want := []string{"a!", "a", "b"}
+	for _, f := range reg.Snapshot().Families {
+		var keys []string // one per series: a histogram's _count sample
+		for _, smp := range f.Samples {
+			if smp.Name == f.Name || smp.Name == f.Name+"_count" {
+				keys = append(keys, smp.Labels[0].Key)
+			}
+		}
+		if !slices.Equal(keys, want) {
+			t.Errorf("%s %s: sample label keys %q, want %q", f.Type, f.Name, keys, want)
+		}
 	}
 }
 

@@ -47,11 +47,12 @@ func (c *Chart) dims() (w, h int) {
 	return w, h
 }
 
+// escaper is shared: a Replacer is safe for concurrent use, and building
+// one per call cost a lookup table per label drawn.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 // esc escapes text for SVG.
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func esc(s string) string { return escaper.Replace(s) }
 
 // niceMax rounds a data maximum up to a pleasant axis bound.
 func niceMax(v float64) float64 {

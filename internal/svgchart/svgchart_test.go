@@ -115,6 +115,22 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
+// TestEscNoAllocWithoutSpecials pins that escaping plain text allocates
+// nothing: the replacer is built once, not per label.
+func TestEscNoAllocWithoutSpecials(t *testing.T) {
+	var out string
+	allocs := testing.AllocsPerRun(100, func() { out = esc("finepack p2p 1.81x") })
+	if allocs != 0 {
+		t.Fatalf("esc of plain text allocates %.0f objects, want 0", allocs)
+	}
+	if out != "finepack p2p 1.81x" {
+		t.Fatalf("esc changed plain text to %q", out)
+	}
+	if got, want := esc(`a&b<c>"d"`), "a&amp;b&lt;c&gt;&quot;d&quot;"; got != want {
+		t.Fatalf("esc = %q, want %q", got, want)
+	}
+}
+
 func TestNiceMax(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 1}, {-3, 1}, {0.9, 1}, {1.7, 2}, {2.3, 2.5}, {4.2, 5}, {7.5, 10}, {42, 50},
