@@ -22,6 +22,7 @@ ci: build vet fmt lint
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecodePacket -fuzztime=10s ./internal/core
+	go test -run='^$$' -fuzz=FuzzTopoSpec -fuzztime=10s ./internal/topo
 
 # End-to-end observability smoke: one tiny instrumented run through the
 # CLI. The observe verb validates its own artifacts before writing (the
@@ -155,6 +156,7 @@ fuzz:
 	go test -fuzz=FuzzLoad -fuzztime=30s ./internal/trace/
 	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/
+	go test -fuzz=FuzzTopoSpec -fuzztime=30s ./internal/topo/
 
 # Regenerate the checked-in artifacts under docs/.
 figures:

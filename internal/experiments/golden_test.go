@@ -54,26 +54,35 @@ func TestGoldenRegression(t *testing.T) {
 		}
 	}
 
+	checkGolden(t, goldenPath(), got, func(m goldenMetrics) string {
+		return m.Workload + "/" + m.Paradigm
+	})
+}
+
+// checkGolden compares got with the JSON golden file at path, entry by
+// entry, or rewrites the file when -update is set. label names an entry
+// in drift reports.
+func checkGolden[T comparable](t *testing.T, path string, got []T, label func(T) string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(), append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("golden file rewritten with %d entries", len(got))
 		return
 	}
-
-	raw, err := os.ReadFile(goldenPath())
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	var want []goldenMetrics
+	var want []T
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +91,7 @@ func TestGoldenRegression(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("drift at %s/%s:\n got %+v\nwant %+v",
-				got[i].Workload, got[i].Paradigm, got[i], want[i])
+			t.Errorf("drift at %s:\n got %+v\nwant %+v", label(got[i]), got[i], want[i])
 		}
 	}
 }

@@ -3,7 +3,11 @@
 // latency, and a credit loop bounds the bytes in flight toward any
 // destination (PCIe's receiver-buffer flow control). The evaluated systems
 // are 4 GPUs under one switch (§V) and 16 GPUs under four switches joined
-// by trunk links (§VI-B's scaling study).
+// by trunk links (§VI-B's scaling study); Config.Topology swaps in a
+// multi-hop graph.
+//
+// Either fabric compiles, in New, to one link table and one route table,
+// and every message runs through the same pipeline (see xfer.go).
 package interconnect
 
 import (
@@ -40,12 +44,11 @@ type Config struct {
 	Faults faults.Config
 	// Topology, when non-nil, replaces the single-switch fabric with a
 	// hierarchical multi-hop graph: messages follow its static route
-	// tables, store-and-forwarding through per-edge servers with each
-	// edge's own bandwidth, latency and credit loop (see topo.go). Nil
-	// keeps the legacy flat path bit-identical to builds without the
-	// topology model. Bandwidth/GPUsPerSwitch/SwitchLatency/
-	// PropagationLatency then only affect the fault protocol's timers;
-	// the graph's per-edge parameters govern all transfer costs.
+	// tables, store-and-forwarding through one server per directed edge
+	// with that edge's own bandwidth, latency and credit loop. Nil keeps
+	// the flat fabric. With a topology, Bandwidth, GPUsPerSwitch,
+	// SwitchLatency and PropagationLatency affect nothing: the graph's
+	// per-edge parameters govern every transfer cost.
 	Topology *topo.Graph
 }
 
@@ -94,14 +97,50 @@ func (c Config) Validate() error {
 // credit units (headers + payload chunks).
 const creditUnit = 64
 
+// creditsFor returns the credit units a message holds in a buffer of max
+// units. A message larger than the whole buffer streams through it chunk
+// by chunk; it can never hold more credits than exist.
+func creditsFor(wireBytes, max int) int {
+	if c := (wireBytes + creditUnit - 1) / creditUnit; c < max {
+		return c
+	}
+	return max
+}
+
+// link is one serializing stage of the fabric: a flat port or trunk, or a
+// directed edge of a multi-hop graph.
+type link struct {
+	srv *des.Server
+	// cred bounds the bytes in flight on the link; nil means none.
+	cred       *des.TokenPool
+	maxCredits int
+	bw         float64
+	// latency is waited after serialization, unless handoff: then the
+	// far end takes the message at once, with no scheduled wait at all
+	// (the flat ingress port).
+	latency des.Time
+	handoff bool
+	inter   bool
+	bytes   core.Bytes
+	packets uint64
+}
+
 // Network is the instantiated fabric.
 type Network struct {
 	cfg     Config
 	sched   *des.Scheduler
-	egress  []*des.Server // per-GPU upstream port
-	ingress []*des.Server // per-GPU downstream port
-	credits []*des.TokenPool
-	trunks  map[[2]int]*des.Server // (lo,hi) switch pair → trunk link
+	credits []*des.TokenPool // per-destination receiver buffer
+
+	// links is the link table; on a multi-hop fabric link e is graph
+	// edge e. The route for (src,dst) is
+	// routeArc[routeOff[src*NumGPUs+dst]:routeOff[src*NumGPUs+dst+1]],
+	// the same flat arena as topo.Graph's.
+	links    []link
+	routeOff []int32
+	routeArc []int32
+	// egress and ingress list, per GPU, the links its messages leave on
+	// (first hops) and arrive on (last hops).
+	egress, ingress [][]int32
 
 	// Stats
 	PacketsSent uint64
@@ -119,6 +158,7 @@ type Network struct {
 	deliveries    uint64           // watchdog progress counter
 	lastProgress  uint64
 	watchdogArmed bool
+	tick          func() // watchdogTick, bound once
 
 	// Replays counts retransmissions (one per Nak'd attempt),
 	// ReplayedBytes the wire bytes those retransmissions re-serialized,
@@ -130,88 +170,15 @@ type Network struct {
 	linkErrors      map[string]uint64
 	resets          []Reset
 
-	// obs, when non-nil, receives delivery/replay/reset events
-	// (see observer.go).
-	obs Observer
+	// obs, when non-nil, receives delivery/replay/reset events, and
+	// hopObs per-edge traversals on multi-hop fabrics (see observer.go).
+	obs    Observer
+	hopObs HopObserver
 
-	// xfree recycles ideal-path transfer pipelines (see xfer): Send is
-	// the fabric's hottest entry point, and building its five-stage
-	// closure chain per packet dominated allocation profiles.
+	// xfree recycles transfer pipelines (see xfer.go): Send is the
+	// fabric's hottest entry point, and building a closure chain per
+	// packet dominated allocation profiles.
 	xfree []*xfer
-
-	// Multi-hop state, populated only when cfg.Topology is set (see
-	// topo.go): one server and one credit pool per directed edge, flat
-	// per-edge byte/packet counters, the recycled hop pipelines, and the
-	// optional per-hop observer.
-	edgeSrv     []*des.Server
-	edgeCred    []*des.TokenPool
-	edgeBytes   []core.Bytes
-	edgePackets []uint64
-	tfree       []*topoXfer
-	hopObs      HopObserver
-}
-
-// xfer carries one ideal-path message through its pipeline stages —
-// credit acquire, egress serialization, optional trunk hop, ingress
-// serialization, delivery — with the stage callbacks pre-bound once at
-// construction. The lifecycle is strictly linear, so a finished xfer is
-// recycled through Network.xfree and a steady packet stream allocates
-// nothing per message. The fault-injected path (replay.go) keeps its own
-// bookkeeping and does not use xfer.
-type xfer struct {
-	n         *Network
-	src, dst  int
-	wireBytes int
-	credits   core.Credits
-	serialize des.Time
-	hopDelay  des.Time
-	start     des.Time
-	done      func()
-
-	afterAcquire func()
-	afterEgress  func()
-	trunkReq     func()
-	afterTrunk   func()
-	ingressReq   func()
-	deliver      func()
-}
-
-//finepack:allow hotalloc -- the pipeline closures bind once per pooled xfer on the freelist miss path and are reused for the object's lifetime
-func (n *Network) getXfer() *xfer {
-	if len(n.xfree) > 0 {
-		x := n.xfree[len(n.xfree)-1]
-		n.xfree[len(n.xfree)-1] = nil
-		n.xfree = n.xfree[:len(n.xfree)-1]
-		return x
-	}
-	x := &xfer{n: n}
-	x.afterAcquire = func() { x.n.egress[x.src].Request(x.serialize, x.afterEgress) }
-	x.afterEgress = func() {
-		if x.n.switchOf(x.src) != x.n.switchOf(x.dst) {
-			x.n.sched.After(x.hopDelay, x.trunkReq)
-			return
-		}
-		x.afterTrunk()
-	}
-	x.trunkReq = func() {
-		x.n.trunk(x.n.switchOf(x.src), x.n.switchOf(x.dst)).Request(x.serialize, x.afterTrunk)
-	}
-	x.afterTrunk = func() { x.n.sched.After(x.hopDelay, x.ingressReq) }
-	x.ingressReq = func() { x.n.ingress[x.dst].Request(x.serialize, x.deliver) }
-	x.deliver = func() {
-		nw := x.n
-		nw.credits[x.dst].Release(int(x.credits))
-		if nw.obs != nil {
-			nw.obs.MessageDelivered(x.src, x.dst, x.wireBytes, x.start, nw.sched.Now())
-		}
-		done := x.done
-		x.done = nil
-		nw.xfree = append(nw.xfree, x)
-		if done != nil {
-			done()
-		}
-	}
-	return x
 }
 
 // New builds the network on the given scheduler.
@@ -225,7 +192,6 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:     cfg,
 		sched:   sched,
-		trunks:  make(map[[2]int]*des.Server),
 		perLink: make([]core.Bytes, cfg.NumGPUs*cfg.NumGPUs),
 	}
 	if cfg.Faults.Enabled() {
@@ -236,71 +202,105 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		n.fi = fi
 		n.cfg.Faults = fi.Config() // protocol knobs with defaults applied
 		n.linkErrors = make(map[string]uint64)
+		n.tick = n.watchdogTick
 		for i := 0; i < cfg.NumGPUs; i++ {
 			n.replaySlots = append(n.replaySlots,
 				des.NewTokenPool(sched, n.cfg.Faults.ReplayBufferDepth))
 		}
 	}
 	for i := 0; i < cfg.NumGPUs; i++ {
-		n.egress = append(n.egress, des.NewServer(sched))
-		n.ingress = append(n.ingress, des.NewServer(sched))
 		n.credits = append(n.credits, des.NewTokenPool(sched, cfg.CreditBytes/creditUnit))
 	}
-	if cfg.Topology != nil {
-		ne := cfg.Topology.NumEdges()
-		n.edgeSrv = make([]*des.Server, ne)
-		n.edgeCred = make([]*des.TokenPool, ne)
-		n.edgeBytes = make([]core.Bytes, ne)
-		n.edgePackets = make([]uint64, ne)
-		for e := 0; e < ne; e++ {
-			n.edgeSrv[e] = des.NewServer(sched)
-			n.edgeCred[e] = des.NewTokenPool(sched, cfg.Topology.Edge(e).CreditBytes/creditUnit)
+	var route func(arc []int32, src, dst int) []int32
+	if graph := cfg.Topology; graph != nil {
+		for e := 0; e < graph.NumEdges(); e++ {
+			ed := graph.Edge(e)
+			n.addLink(ed.Bandwidth, des.Time(ed.Latency), ed.CreditBytes/creditUnit).inter = ed.Inter
+		}
+		route = func(arc []int32, src, dst int) []int32 { return append(arc, graph.Route(src, dst)...) }
+	} else {
+		route = n.flatLinks()
+	}
+	g := cfg.NumGPUs
+	n.routeOff = make([]int32, g*g+1)
+	n.egress, n.ingress = make([][]int32, g), make([][]int32, g)
+	for src := 0; src < g; src++ {
+		for dst := 0; dst < g; dst++ {
+			begin := len(n.routeArc)
+			if src != dst {
+				n.routeArc = route(n.routeArc, src, dst)
+				r := n.routeArc[begin:]
+				n.egress[src] = addPort(n.egress[src], r[0])
+				n.ingress[dst] = addPort(n.ingress[dst], r[len(r)-1])
+			}
+			n.routeOff[src*g+dst+1] = int32(len(n.routeArc))
 		}
 	}
 	return n, nil
+}
+
+// flatLinks builds the single-switch-tier fabric's link table — an egress
+// port per GPU, an ingress port per GPU, and one trunk per unordered pair
+// of leaf switches — and returns its route builder. Both directions
+// between two switches share their trunk's server. No flat link has a
+// credit loop of its own; the switch and propagation latency is waited
+// after the egress port and after the trunk, nothing after the ingress
+// port.
+func (n *Network) flatLinks() func(arc []int32, src, dst int) []int32 {
+	g, radix := n.cfg.NumGPUs, n.cfg.GPUsPerSwitch
+	hop := n.cfg.SwitchLatency + n.cfg.PropagationLatency
+	for i := 0; i < g; i++ {
+		n.addLink(n.cfg.Bandwidth, hop, 0)
+	}
+	for i := 0; i < g; i++ {
+		n.addLink(n.cfg.Bandwidth, 0, 0).handoff = true
+	}
+	switches := (g + radix - 1) / radix
+	trunk := make([]int32, switches*switches)
+	for a := 0; a < switches; a++ {
+		for b := a + 1; b < switches; b++ {
+			id := int32(len(n.links))
+			n.addLink(n.cfg.Bandwidth, hop, 0)
+			trunk[a*switches+b], trunk[b*switches+a] = id, id
+		}
+	}
+	return func(arc []int32, src, dst int) []int32 {
+		arc = append(arc, int32(src))
+		if a, b := src/radix, dst/radix; a != b {
+			arc = append(arc, trunk[a*switches+b])
+		}
+		return append(arc, int32(g+dst))
+	}
+}
+
+// addLink appends a link holding credits tokens (0: no credit loop).
+func (n *Network) addLink(bw float64, latency des.Time, credits int) *link {
+	l := link{srv: des.NewServer(n.sched), bw: bw, latency: latency}
+	if credits > 0 {
+		l.cred, l.maxCredits = des.NewTokenPool(n.sched, credits), credits
+	}
+	n.links = append(n.links, l)
+	return &n.links[len(n.links)-1]
+}
+
+// addPort appends link l to ports unless already listed.
+func addPort(ports []int32, l int32) []int32 {
+	for _, p := range ports {
+		if p == l {
+			return ports
+		}
+	}
+	return append(ports, l)
 }
 
 // Config returns the resolved configuration the network runs with
 // (defaults substituted).
 func (n *Network) Config() Config { return n.cfg }
 
-// switchOf returns the leaf switch index for a GPU.
-func (n *Network) switchOf(gpu int) int { return gpu / n.cfg.GPUsPerSwitch }
-
-// NumSwitches returns the leaf switch count.
-func (n *Network) NumSwitches() int {
-	return (n.cfg.NumGPUs + n.cfg.GPUsPerSwitch - 1) / n.cfg.GPUsPerSwitch
-}
-
-// trunk returns (creating on demand) the trunk link between two switches.
-// The 16-GPU system joins leaf switches pairwise through one upper link
-// each way; trunk links run at the same generation bandwidth.
-func (n *Network) trunk(a, b int) *des.Server {
-	if a > b {
-		a, b = b, a
-	}
-	key := [2]int{a, b}
-	s, ok := n.trunks[key]
-	if !ok {
-		s = des.NewServer(n.sched)
-		n.trunks[key] = s
-	}
-	return s
-}
-
-// Hops returns the number of switch traversals between two GPUs.
-func (n *Network) Hops(src, dst int) int {
-	if n.switchOf(src) == n.switchOf(dst) {
-		return 1
-	}
-	return 2
-}
-
 // Send transmits wireBytes from src to dst; done (may be nil) fires when
-// the last byte arrives at the destination port. The path serializes at
-// the source egress port, any trunk link, and the destination ingress
-// port, with switch and propagation latency per hop, under the
-// destination's credit loop.
+// the last byte arrives at the destination port. The message holds
+// destination credits end to end and serializes through every link of
+// its route (see xfer.go).
 //
 //finepack:hotpath per-packet transfer pipeline entry
 func (n *Network) Send(src, dst int, wireBytes int, done func()) {
@@ -314,36 +314,23 @@ func (n *Network) Send(src, dst int, wireBytes int, done func()) {
 	n.BytesSent += core.Bytes(wireBytes)
 	n.perLink[src*n.cfg.NumGPUs+dst] += core.Bytes(wireBytes)
 
-	serialize := des.DurationForBytes(uint64(wireBytes), n.cfg.Bandwidth)
-	hopDelay := n.cfg.SwitchLatency + n.cfg.PropagationLatency
-	credits := core.Credits((wireBytes + creditUnit - 1) / creditUnit)
-	// A message larger than the whole receiver buffer streams through it
-	// chunk by chunk; it can never hold more credits than exist.
-	if maxCredits := core.Credits(n.cfg.CreditBytes / creditUnit); credits > maxCredits {
-		credits = maxCredits
-	}
-
-	if n.cfg.Topology != nil {
-		if n.fi != nil {
-			n.sendReliableTopo(src, dst, wireBytes, credits, done)
-			return
-		}
-		n.sendTopo(src, dst, wireBytes, credits, done)
-		return
-	}
-
-	if n.fi != nil {
-		n.sendReliable(src, dst, wireBytes, credits, done)
-		return
-	}
-
 	x := n.getXfer()
-	x.src, x.dst = src, dst
-	x.wireBytes, x.credits = wireBytes, credits
-	x.serialize, x.hopDelay = serialize, hopDelay
+	x.src, x.dst, x.wireBytes = src, dst, wireBytes
+	x.try, x.frac = 0, 1
 	x.start = n.sched.Now()
 	x.done = done
-	n.credits[dst].Acquire(int(credits), x.afterAcquire)
+	n.inFlight++
+	n.armWatchdog()
+	next := x.stage.attempt
+	if n.fi != nil {
+		next = x.stage.reserve
+	}
+	n.credits[dst].Acquire(n.destCredits(wireBytes), next)
+}
+
+// destCredits returns the destination credits a message holds end to end.
+func (n *Network) destCredits(wireBytes int) int {
+	return creditsFor(wireBytes, n.cfg.CreditBytes/creditUnit)
 }
 
 // LinkBytes returns bytes sent on the src→dst endpoint pair.
@@ -354,9 +341,36 @@ func (n *Network) LinkBytes(src, dst int) core.Bytes {
 	return n.perLink[src*n.cfg.NumGPUs+dst]
 }
 
-// EgressUtilization returns the egress-port utilization for a GPU.
-func (n *Network) EgressUtilization(gpu int) float64 {
-	return n.egress[gpu].Utilization()
+// NumEdges returns the topology's directed edge count (0 on a flat
+// fabric, whose ports and trunks are not edges).
+func (n *Network) NumEdges() int {
+	if n.cfg.Topology == nil {
+		return 0
+	}
+	return len(n.links)
+}
+
+// EdgeBytes returns the wire bytes forwarded over directed edge e.
+func (n *Network) EdgeBytes(e int) core.Bytes { return n.links[e].bytes }
+
+// EdgePackets returns the packets forwarded over directed edge e.
+func (n *Network) EdgePackets(e int) uint64 { return n.links[e].packets }
+
+// EdgeBusy returns the cumulative busy (serializing) time of directed
+// edge e; deltas between samples give windowed edge utilization.
+func (n *Network) EdgeBusy(e int) des.Time { return n.links[e].srv.Busy }
+
+// InterNodeEdgeBytes sums the wire bytes forwarded over inter-node edges
+// — the traffic that actually crossed the slow fabric tier, counted per
+// hop.
+func (n *Network) InterNodeEdgeBytes() core.Bytes {
+	var sum core.Bytes
+	for _, l := range n.links {
+		if l.inter {
+			sum += l.bytes
+		}
+	}
+	return sum
 }
 
 //finepack:allow hotalloc -- link-error accounting runs only on the fault-injection path, off the headline benchmarks

@@ -118,30 +118,50 @@ func TestInfiniteBandwidth(t *testing.T) {
 	}
 }
 
+// sendAlone sends one message on an otherwise idle fabric and returns
+// its transfer time.
+func sendAlone(sched *des.Scheduler, n *Network, src, dst, bytes int) des.Time {
+	start := sched.Now()
+	var doneAt des.Time
+	n.Send(src, dst, bytes, func() { doneAt = sched.Now() })
+	sched.Run()
+	return doneAt - start
+}
+
 func TestTopology4GPUsSingleSwitch(t *testing.T) {
-	_, n := newNet(t, zeroLatency(4, 32e9))
-	if n.NumSwitches() != 1 {
-		t.Fatalf("switches = %d, want 1", n.NumSwitches())
-	}
+	// One leaf switch: every pair is egress + ingress, never a trunk.
+	sched, n := newNet(t, zeroLatency(4, 32e9))
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
-			if src != dst && n.Hops(src, dst) != 1 {
-				t.Fatalf("hops(%d,%d) = %d, want 1", src, dst, n.Hops(src, dst))
+			if src == dst {
+				continue
+			}
+			if got := sendAlone(sched, n, src, dst, 32000); got != 2*des.Microsecond {
+				t.Fatalf("%d->%d took %v, want 2us (one switch)", src, dst, got)
 			}
 		}
 	}
 }
 
 func TestTopology16GPUsFourSwitches(t *testing.T) {
-	_, n := newNet(t, zeroLatency(16, 128e9))
-	if n.NumSwitches() != 4 {
-		t.Fatalf("switches = %d, want 4", n.NumSwitches())
-	}
-	if n.Hops(0, 3) != 1 {
-		t.Fatal("same-switch pair should be 1 hop")
-	}
-	if n.Hops(0, 15) != 2 {
-		t.Fatal("cross-switch pair should be 2 hops")
+	// Four leaf switches of four GPUs. A same-switch pair serializes
+	// twice with one hop latency; a cross-switch pair adds the trunk and
+	// its hop latency. Nothing waits after the ingress port.
+	sched, n := newNet(t, DefaultConfig(16, 128e9))
+	ser, hop := des.Microsecond, 160*des.Nanosecond
+	for src := 0; src < 16; src++ {
+		for dst := 0; dst < 16; dst++ {
+			if src == dst {
+				continue
+			}
+			want := 2*ser + hop
+			if src/4 != dst/4 {
+				want = 3*ser + 2*hop
+			}
+			if got := sendAlone(sched, n, src, dst, 128000); got != want {
+				t.Fatalf("%d->%d took %v, want %v", src, dst, got, want)
+			}
+		}
 	}
 }
 
@@ -178,8 +198,12 @@ func TestStatsAndLinkBytes(t *testing.T) {
 	if n.LinkBytes(1, 0) != 0 {
 		t.Fatal("direction matters")
 	}
-	if u := n.EgressUtilization(0); u <= 0 {
-		t.Fatalf("egress utilization = %v", u)
+	// 300 bytes left GPU 0 and reached GPU 1: 9.375ns each way.
+	if b := n.EgressBusy(0); b != 9375 {
+		t.Fatalf("egress busy = %v, want 9.375ns", b)
+	}
+	if b := n.IngressBusy(1); b != 9375 {
+		t.Fatalf("ingress busy = %v, want 9.375ns", b)
 	}
 }
 

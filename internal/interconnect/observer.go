@@ -37,21 +37,33 @@ type HopObserver interface {
 // SetObserver attaches (or with nil, detaches) a fabric observer. Callers
 // holding a possibly-nil concrete pointer must guard the call — assigning
 // a typed nil would defeat the n.obs != nil fast path. Observers that also
-// implement HopObserver receive per-hop callbacks on multi-hop fabrics.
+// implement HopObserver receive per-hop callbacks on multi-hop fabrics
+// (the flat fabric's ports and trunks are not edges).
 func (n *Network) SetObserver(o Observer) {
 	n.obs = o
 	n.hopObs = nil
-	if h, ok := o.(HopObserver); ok {
+	if h, ok := o.(HopObserver); ok && n.cfg.Topology != nil {
 		n.hopObs = h
 	}
 }
 
-// EgressBusy returns the cumulative busy time of a GPU's egress port.
-// Deltas between samples give windowed link utilization.
-func (n *Network) EgressBusy(gpu int) des.Time { return n.egress[gpu].Busy }
+// EgressBusy returns the cumulative busy time of a GPU's egress port: on
+// a multi-hop fabric, the mean over the first-hop edges its routes leave
+// on. Deltas between samples give windowed link utilization.
+func (n *Network) EgressBusy(gpu int) des.Time { return n.meanBusy(n.egress[gpu]) }
 
-// IngressBusy returns the cumulative busy time of a GPU's ingress port.
-func (n *Network) IngressBusy(gpu int) des.Time { return n.ingress[gpu].Busy }
+// IngressBusy returns the cumulative busy time of a GPU's ingress port:
+// on a multi-hop fabric, the mean over the last-hop edges its routes
+// arrive on.
+func (n *Network) IngressBusy(gpu int) des.Time { return n.meanBusy(n.ingress[gpu]) }
+
+func (n *Network) meanBusy(ports []int32) des.Time {
+	var sum des.Time
+	for _, l := range ports {
+		sum += n.links[l].srv.Busy
+	}
+	return sum / des.Time(len(ports))
+}
 
 // CreditWaiters returns the senders currently stalled on credits toward
 // dst.

@@ -10,12 +10,13 @@ import (
 	"finepack/internal/faults"
 )
 
-// Reliability path: when fault injection is enabled the network runs a
-// data-link-layer Ack/Nak protocol over the same port/credit model.
+// Reliability: when fault injection is enabled the network runs a
+// data-link-layer Ack/Nak protocol as stages of the one transfer
+// pipeline (xfer.go), over the same link and credit model.
 //
-//   - Every transmission attempt re-serializes the packet through the
-//     source egress port, any trunk link, and the destination ingress
-//     port; the receiver then draws the corruption lottery (CRC check).
+//   - Every transmission attempt re-serializes the packet through every
+//     link of its route; the receiver then draws the corruption lottery
+//     (CRC check).
 //   - A corrupted (or dead-link) attempt is Nak'd: the packet stays in
 //     the transmitter's replay buffer and retransmits after an
 //     ack-timeout with bounded exponential backoff.
@@ -40,86 +41,6 @@ type Reset struct {
 	Links int
 }
 
-// sendReliable is Send's fault-path body: same credit loop, plus replay
-// buffering and the Ack/Nak retransmission protocol.
-//
-//finepack:allow hotalloc -- the reliable path runs only under fault injection, off the headline benchmarks; its per-message closures are accepted
-func (n *Network) sendReliable(src, dst, wireBytes int, credits core.Credits, done func()) {
-	n.inFlight++
-	n.armWatchdog()
-	start := n.sched.Now()
-	n.credits[dst].Acquire(int(credits), func() {
-		n.replaySlots[src].Acquire(1, func() {
-			n.attempt(src, dst, wireBytes, 0, func() {
-				n.replaySlots[src].Release(1)
-				n.credits[dst].Release(int(credits))
-				n.deliveries++
-				n.inFlight--
-				if n.obs != nil {
-					n.obs.MessageDelivered(src, dst, wireBytes, start, n.sched.Now())
-				}
-				if done != nil {
-					done()
-				}
-			})
-		})
-	})
-}
-
-// attempt runs one transmission of the packet; acked fires when the
-// receiver accepts it (CRC pass → Ack). A corrupted or dead-link attempt
-// counts a link error and schedules a replay.
-//
-//finepack:allow hotalloc -- fault-injection path; per-attempt closures are accepted off the headline benchmarks
-func (n *Network) attempt(src, dst, wireBytes, try int, acked func()) {
-	now := n.sched.Now()
-	nak := func() {
-		n.Replays++
-		n.ReplayedBytes += core.Bytes(wireBytes)
-		n.linkErrors[linkName(src, dst)]++
-		if n.obs != nil {
-			n.obs.ReplayScheduled(src, dst, wireBytes, try, n.sched.Now())
-		}
-		n.sched.After(n.backoff(try), func() {
-			n.attempt(src, dst, wireBytes, try+1, acked)
-		})
-	}
-	if n.fi.IsDown(src, dst, now) {
-		// The LTSSM reports the link down: nothing serializes, the
-		// replay timer expires without an Ack and the packet stays in
-		// the replay buffer.
-		nak()
-		return
-	}
-	// Lane down-training stretches serialization on the degraded link.
-	bw := n.cfg.Bandwidth
-	if bw > 0 {
-		bw *= n.fi.BandwidthFraction(src, dst, now)
-	}
-	serialize := des.DurationForBytes(uint64(wireBytes), bw)
-	hopDelay := n.cfg.SwitchLatency + n.cfg.PropagationLatency
-	deliver := func() {
-		n.sched.After(hopDelay, func() {
-			n.ingress[dst].Request(serialize, func() {
-				if n.fi.Corrupted(src, dst, wireBytes, n.sched.Now()) {
-					nak()
-					return
-				}
-				acked()
-			})
-		})
-	}
-	n.egress[src].Request(serialize, func() {
-		if n.switchOf(src) != n.switchOf(dst) {
-			n.sched.After(hopDelay, func() {
-				n.trunk(n.switchOf(src), n.switchOf(dst)).Request(serialize, deliver)
-			})
-		} else {
-			deliver()
-		}
-	})
-}
-
 // backoff returns the replay delay after the given number of failed
 // attempts: the ack timeout doubling per retry, bounded at
 // AckTimeout << MaxBackoffShift.
@@ -130,18 +51,17 @@ func (n *Network) backoff(try int) des.Time {
 	return n.cfg.Faults.AckTimeout << try
 }
 
-// armWatchdog schedules the next progress check if traffic is pending and
-// no check is queued. The watchdog goes dormant when the network drains,
-// so fault-free idle periods add no events and the run can terminate.
-//
-//finepack:allow hotalloc -- fault-injection path; the watchdog method value binds at most once per window
+// armWatchdog schedules the next progress check if faults are injected,
+// traffic is pending and no check is queued. The watchdog goes dormant
+// when the network drains, so fault-free idle periods add no events and
+// the run can terminate.
 func (n *Network) armWatchdog() {
-	if n.cfg.Faults.DisableWatchdog || n.watchdogArmed || n.inFlight == 0 {
+	if n.fi == nil || n.cfg.Faults.DisableWatchdog || n.watchdogArmed || n.inFlight == 0 {
 		return
 	}
 	n.watchdogArmed = true
 	n.lastProgress = n.deliveries
-	n.sched.After(n.cfg.Faults.WatchdogWindow, n.watchdogTick)
+	n.sched.After(n.cfg.Faults.WatchdogWindow, n.tick)
 }
 
 // watchdogTick checks for delivery progress over the last window. A stall

@@ -227,3 +227,36 @@ func TestBackoffIsBounded(t *testing.T) {
 		t.Fatalf("backoff unbounded: %v beyond cap %v", got, max)
 	}
 }
+
+// TestFaultPathSteadyStateAllocationFree pins the hot-path contract on
+// the fault path: once the xfer freelist, replay slots and event slab are
+// warm, fault-injected sends across the flat fabric's trunk (degraded,
+// watchdog armed, no errors drawn) allocate nothing per message. Each
+// round ends on the watchdog's check a whole window later, so rounds land
+// all over the calendar ring and its buckets need a longer warmup than
+// TestTopoSteadyStateAllocationFree's to reach their steady capacity. The
+// epsilon is the event slab's amortized carve, as in that test.
+func TestFaultPathSteadyStateAllocationFree(t *testing.T) {
+	cfg := zeroLatency(8, 32e9)
+	cfg.Faults = faults.Config{
+		Seed:         1,
+		Degradations: []faults.Degradation{{Link: faults.AllLinks, At: 0, BandwidthFraction: 0.5}},
+	}
+	sched, n := newNet(t, cfg)
+	send := func() {
+		n.Send(0, 5, 256, nil)
+		n.Send(1, 2, 256, nil)
+		n.Send(6, 3, 256, nil)
+		sched.Run()
+	}
+	for i := 0; i < 1024; i++ {
+		send()
+	}
+	allocs := testing.AllocsPerRun(100, send)
+	if allocs > 0.05 {
+		t.Fatalf("steady-state fault-path send allocates %v per round, want ~0", allocs)
+	}
+	if n.Replays != 0 {
+		t.Fatalf("no error source configured, yet %d replays", n.Replays)
+	}
+}

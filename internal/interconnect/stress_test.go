@@ -123,7 +123,7 @@ func TestHotspotSerializesAtIngress(t *testing.T) {
 	if end < 3*2*des.Microsecond {
 		t.Fatalf("hotspot finished at %v, ingress not serializing", end)
 	}
-	if u := n.EgressUtilization(0); u > 0.5 {
+	if u := float64(n.EgressBusy(0)) / float64(end); u > 0.5 {
 		t.Fatalf("egress 0 utilization %v; sources should mostly idle", u)
 	}
 }

@@ -106,9 +106,8 @@ func (l *hopLog) HopForwarded(edge, src, dst, wireBytes int, start, end des.Time
 
 // TestTopoDeliveryOrderDeterminism pins multi-hop delivery determinism:
 // an all-to-all burst over the pod4x8 preset forwards hops and delivers
-// messages in the same order on every run. Subtests run with t.Parallel
-// and the whole test is exercised under -race and both des_heapq tag
-// sets by CI.
+// messages in the same order on every run. Subtests run with t.Parallel,
+// and CI runs the test under -race.
 func TestTopoDeliveryOrderDeterminism(t *testing.T) {
 	run := func() *hopLog {
 		spec, err := topo.Preset(topo.PresetPod4x8)
@@ -214,5 +213,23 @@ func TestTopoGPUCountMismatch(t *testing.T) {
 	cfg.Topology = g
 	if _, err := New(des.NewScheduler(), cfg); err == nil {
 		t.Fatal("GPU-count mismatch must be rejected")
+	}
+}
+
+// TestTopoPortBusy checks a GPU's port busy time on a multi-hop fabric
+// is that of the edges its messages actually leave and arrive on.
+func TestTopoPortBusy(t *testing.T) {
+	g := twinGraph(t, 0)
+	sched, n := newNet(t, topoConfig(g))
+	n.Send(0, 2, 32000, nil) // 1µs on gpu0's uplink, 1µs on gpu2's downlink
+	sched.Run()
+	if b := n.EgressBusy(0); b != des.Microsecond {
+		t.Fatalf("egress busy of gpu0 = %v, want 1µs", b)
+	}
+	if b := n.IngressBusy(2); b != des.Microsecond {
+		t.Fatalf("ingress busy of gpu2 = %v, want 1µs", b)
+	}
+	if b := n.EgressBusy(1) + n.IngressBusy(0); b != 0 {
+		t.Fatalf("idle ports report %v busy", b)
 	}
 }

@@ -1,0 +1,179 @@
+package interconnect
+
+// The transfer pipeline. Every message, on either fabric and with or
+// without fault injection, runs through one xfer:
+//
+//	destination credits
+//	→ [replay slot]                      (fault injection only)
+//	→ per hop: [link credits] → serialize → [latency] → account
+//	→ [CRC check: Nak → backoff → hop 0] (fault injection only)
+//	→ delivery
+//
+// Flow control composes two loops: the destination's receiver-buffer
+// credits are held end to end, and each link with a credit loop of its
+// own bounds its bytes in flight — acquired before the hop serializes,
+// released when the hop's last byte arrives at the far end. Links are
+// taken in strict route order after the destination credits are held, so
+// the loops cannot deadlock against each other. A replayed attempt
+// re-acquires link credits hop by hop like the first one.
+//
+// Fault state is keyed by the end-to-end (src,dst) GPU pair: the
+// dead-link and bandwidth checks run once per attempt at hop 0, and the
+// degraded fraction stretches every hop of that attempt.
+
+import (
+	"finepack/internal/core"
+	"finepack/internal/des"
+)
+
+// xfer carries one message through the pipeline. Its stage callbacks are
+// bound once per object, and its lifecycle is strictly linear, so a
+// delivered xfer is recycled through Network.xfree and a steady packet
+// stream allocates nothing per message. Credit counts are recomputed from
+// wireBytes where they are taken and returned rather than stored, which
+// keeps the struct in the 128-byte size class: a run allocates one xfer
+// per message in flight at its peak.
+type xfer struct {
+	n         *Network
+	src, dst  int
+	wireBytes int
+	// at indexes the current hop's link in the route arena, end the
+	// arena position just past the route's last hop.
+	at, end int
+	// frac is the bandwidth fraction of the current attempt, try the
+	// count of failed attempts before it.
+	frac     float64
+	try      int
+	start    des.Time
+	hopStart des.Time
+	done     func()
+
+	stage struct{ reserve, attempt, serialize, forward, arrived func() }
+}
+
+//finepack:allow hotalloc -- the stage method values bind once per pooled xfer on the freelist miss path and are reused for the object's lifetime
+func (n *Network) getXfer() *xfer {
+	if k := len(n.xfree); k > 0 {
+		x := n.xfree[k-1]
+		n.xfree[k-1] = nil
+		n.xfree = n.xfree[:k-1]
+		return x
+	}
+	x := &xfer{n: n}
+	x.stage.reserve, x.stage.attempt = x.reserve, x.attempt
+	x.stage.serialize, x.stage.forward, x.stage.arrived = x.serialize, x.forward, x.arrived
+	return x
+}
+
+// reserve takes a slot in the source's replay buffer; the packet holds it
+// until acked.
+func (x *xfer) reserve() { x.n.replaySlots[x.src].Acquire(1, x.stage.attempt) }
+
+// attempt starts one transmission at hop 0.
+func (x *xfer) attempt() {
+	n := x.n
+	if n.fi != nil {
+		now := n.sched.Now()
+		if n.fi.IsDown(x.src, x.dst, now) {
+			// The LTSSM reports the link down: nothing serializes, the
+			// replay timer expires without an Ack and the packet stays
+			// in the replay buffer.
+			x.nak()
+			return
+		}
+		// Lane down-training stretches serialization on the degraded link.
+		x.frac = n.fi.BandwidthFraction(x.src, x.dst, now)
+	}
+	i := x.src*n.cfg.NumGPUs + x.dst
+	x.at, x.end = int(n.routeOff[i]), int(n.routeOff[i+1])
+	x.enter()
+}
+
+// link returns the current hop's link.
+func (x *xfer) link() *link { return &x.n.links[x.n.routeArc[x.at]] }
+
+// enter takes the current hop's link credits, if the link has a loop.
+func (x *xfer) enter() {
+	l := x.link()
+	x.hopStart = x.n.sched.Now()
+	if l.cred == nil {
+		x.serialize()
+		return
+	}
+	l.cred.Acquire(creditsFor(x.wireBytes, l.maxCredits), x.stage.serialize)
+}
+
+func (x *xfer) serialize() {
+	l := x.link()
+	bw := l.bw
+	if bw > 0 {
+		bw *= x.frac
+	}
+	l.srv.Request(des.DurationForBytes(uint64(x.wireBytes), bw), x.stage.forward)
+}
+
+func (x *xfer) forward() {
+	l := x.link()
+	if l.handoff {
+		x.arrived()
+		return
+	}
+	x.n.sched.After(l.latency, x.stage.arrived)
+}
+
+// arrived accounts the hop and moves on: the next hop, or the receiver.
+func (x *xfer) arrived() {
+	n := x.n
+	l := x.link()
+	if l.cred != nil {
+		l.cred.Release(creditsFor(x.wireBytes, l.maxCredits))
+	}
+	l.bytes += core.Bytes(x.wireBytes)
+	l.packets++
+	if n.hopObs != nil {
+		n.hopObs.HopForwarded(int(n.routeArc[x.at]), x.src, x.dst, x.wireBytes, x.hopStart, n.sched.Now())
+	}
+	if x.at++; x.at < x.end {
+		x.enter()
+		return
+	}
+	if n.fi != nil && n.fi.Corrupted(x.src, x.dst, x.wireBytes, n.sched.Now()) {
+		x.nak()
+		return
+	}
+	x.deliver()
+}
+
+// nak counts a link error and schedules the replay: the packet stays in
+// the replay buffer and retransmits after the backoff.
+func (x *xfer) nak() {
+	n := x.n
+	n.Replays++
+	n.ReplayedBytes += core.Bytes(x.wireBytes)
+	n.linkErrors[linkName(x.src, x.dst)]++
+	if n.obs != nil {
+		n.obs.ReplayScheduled(x.src, x.dst, x.wireBytes, x.try, n.sched.Now())
+	}
+	n.sched.After(n.backoff(x.try), x.stage.attempt)
+	x.try++
+}
+
+// deliver acks the packet, frees its buffers and recycles the xfer.
+func (x *xfer) deliver() {
+	n := x.n
+	if n.fi != nil {
+		n.replaySlots[x.src].Release(1)
+	}
+	n.credits[x.dst].Release(n.destCredits(x.wireBytes))
+	n.deliveries++
+	n.inFlight--
+	if n.obs != nil {
+		n.obs.MessageDelivered(x.src, x.dst, x.wireBytes, x.start, n.sched.Now())
+	}
+	done := x.done
+	x.done = nil
+	n.xfree = append(n.xfree, x)
+	if done != nil {
+		done()
+	}
+}

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"finepack/internal/obs"
+	"finepack/internal/topo"
 )
 
 // TestObservedRunMatchesPlainRun checks the recorder is a pure tap: an
@@ -95,5 +97,48 @@ func TestObservedRunRecordsTaxonomy(t *testing.T) {
 	var svg bytes.Buffer
 	if err := rec.WriteTimelineSVG(&svg); err != nil {
 		t.Fatalf("timeline: %v", err)
+	}
+}
+
+// TestObservedMultiHopPortUtilization checks that a multi-hop run's
+// per-GPU port series measure the links the GPU's messages actually use
+// (its first-hop and last-hop edges): every GPU of a dgx2x4 hierarchy
+// that sends or receives shows a nonzero egress or ingress sample.
+func TestObservedMultiHopPortUtilization(t *testing.T) {
+	spec, err := topo.Preset(topo.PresetDGX2x8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.GPUsPerNode, spec.Name = 4, "dgx2x4"
+	cfg := DefaultConfig()
+	cfg.Topology = spec
+	tr := genTrace(t, "sssp", 8)
+	sends, recvs := make([]bool, 8), make([]bool, 8)
+	for _, it := range tr.Iterations {
+		for g, w := range it.PerGPU {
+			for _, st := range w.Stores {
+				sends[g], recvs[st.Dst] = true, true
+			}
+		}
+	}
+	rec := obs.New(obs.Config{})
+	if _, err := RunObserved(tr, P2P, cfg, rec); err != nil {
+		t.Fatal(err)
+	}
+	busy := map[string]bool{}
+	for _, s := range rec.SeriesList() {
+		for _, v := range s.V {
+			if v > 0 {
+				busy[s.Name] = true
+			}
+		}
+	}
+	for g := 0; g < 8; g++ {
+		if name := fmt.Sprintf("egress util gpu %d", g); sends[g] && !busy[name] {
+			t.Errorf("GPU %d sends, but %q has no nonzero sample", g, name)
+		}
+		if name := fmt.Sprintf("ingress util gpu %d", g); recvs[g] && !busy[name] {
+			t.Errorf("GPU %d receives, but %q has no nonzero sample", g, name)
+		}
 	}
 }

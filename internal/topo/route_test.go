@@ -7,8 +7,8 @@ import (
 
 // TestRouteTableDeterminism pins the routing-determinism contract: two
 // Builds of the same spec yield identical edge lists and route tables.
-// The test runs under -race and both des_heapq tag sets in CI, and the
-// t.Parallel subtests exercise concurrent builds.
+// CI runs the test under -race, and the t.Parallel subtests exercise
+// concurrent builds.
 func TestRouteTableDeterminism(t *testing.T) {
 	for _, name := range PresetNames() {
 		name := name

@@ -194,9 +194,10 @@ func (s *Spec) validateHierarchical() error {
 	if s.GPUsPerNode < 1 {
 		return fmt.Errorf("topo: gpus_per_node %d must be >= 1", s.GPUsPerNode)
 	}
-	total := s.Nodes * s.GPUsPerNode
-	if total < 2 || total > maxTopoGPUs {
-		return fmt.Errorf("topo: %d GPUs (%d nodes × %d) outside [2,%d]", total, s.Nodes, s.GPUsPerNode, maxTopoGPUs)
+	// Bound the factors before multiplying: a product that wraps around
+	// would pass the range check and size the graph by the raw counts.
+	if s.Nodes > maxTopoGPUs/s.GPUsPerNode || s.Nodes*s.GPUsPerNode < 2 {
+		return fmt.Errorf("topo: %d nodes × %d GPUs outside [2,%d] GPUs", s.Nodes, s.GPUsPerNode, maxTopoGPUs)
 	}
 	if err := validateClass("intra_node", &s.IntraNode); err != nil {
 		return err
