@@ -22,7 +22,9 @@ ci: build vet fmt lint
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecodePacket -fuzztime=10s ./internal/core
+	go test -run='^$$' -fuzz=FuzzQueueWrite -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzTopoSpec -fuzztime=10s ./internal/topo
+	go test -run='^$$' -fuzz=FuzzTrainSpec -fuzztime=10s ./internal/collective
 
 # End-to-end observability smoke: one tiny instrumented run through the
 # CLI. The observe verb validates its own artifacts before writing (the
@@ -134,12 +136,13 @@ bench-smoke:
 # Fig9Speedup, and the multi-hop store-and-forward path, MultiHopAllReduce),
 # so an alloc the analyzer misses (or an over-broad //finepack:allow) still
 # fails CI dynamically. EncodeDecodePacket pins the one-buffer wire codec,
-# StreamedSSSP the streamed-trace path, and WorkloadGenerate the in-place
-# CSR graph build. The baseline is the snapshot taken after graph building
-# stopped allocating per row.
-BENCH_BASELINE := BENCH_2026-10-17-csr.json
+# StreamedSSSP the streamed-trace path, WorkloadGenerate the in-place CSR
+# graph build, and NetworkSendBurstFlat4/Pod4x8 the pooled transfer
+# pipeline (one allocation per message in flight). The baseline is the
+# snapshot taken after the pipeline objects moved onto des.Pool.
+BENCH_BASELINE := BENCH_2026-10-17-pool.json
 comma := ,
-BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate
+BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate,BenchmarkNetworkSendBurstFlat4,BenchmarkNetworkSendBurstPod4x8
 bench-compare:
 	mkdir -p .bench
 	go test -run='^$$' -bench='^($(subst $(comma),|,$(BENCH_GATES)))$$' \
@@ -157,6 +160,7 @@ fuzz:
 	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzTopoSpec -fuzztime=30s ./internal/topo/
+	go test -fuzz=FuzzTrainSpec -fuzztime=30s ./internal/collective/
 
 # Regenerate the checked-in artifacts under docs/.
 figures:

@@ -27,6 +27,7 @@ import (
 	"finepack/internal/des"
 	"finepack/internal/experiments"
 	"finepack/internal/gpusim"
+	"finepack/internal/interconnect"
 	"finepack/internal/obs"
 	"finepack/internal/sim"
 	"finepack/internal/topo"
@@ -352,6 +353,48 @@ func BenchmarkSchedulerEvents(b *testing.B) {
 		}
 	}
 	sched.Run()
+}
+
+// sendBurst times a cold burst on a fresh network per iteration: 16384
+// 64-byte messages, from every other GPU to GPU 0, all accepted before
+// the scheduler runs, so the whole burst is in flight at once. Its
+// allocs/op is dominated by the per-message pipeline state (one pooled
+// transfer and its bound callback).
+func sendBurst(b *testing.B, cfg interconnect.Config) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sched := des.NewScheduler()
+		n, err := interconnect.New(sched, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for m := 0; m < 16384; m++ {
+			n.Send(1+m%(cfg.NumGPUs-1), 0, 64, nil)
+		}
+		sched.Run()
+	}
+}
+
+// BenchmarkNetworkSendBurstFlat4 is the burst on the paper's 4-GPU,
+// one-switch fabric.
+func BenchmarkNetworkSendBurstFlat4(b *testing.B) {
+	sendBurst(b, interconnect.DefaultConfig(4, 32e9))
+}
+
+// BenchmarkNetworkSendBurstPod4x8 is the burst on the 32-GPU pod4x8
+// hierarchy: multi-hop routes with per-edge credit loops.
+func BenchmarkNetworkSendBurstPod4x8(b *testing.B) {
+	spec, err := topo.Preset(topo.PresetPod4x8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := topo.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := interconnect.DefaultConfig(g.NumGPUs(), 32e9)
+	cfg.Topology = g
+	sendBurst(b, cfg)
 }
 
 // BenchmarkQueueWriteDense measures the remote write queue on a dense

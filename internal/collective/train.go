@@ -65,6 +65,12 @@ func (ts *TrainSpec) Validate() error {
 	if ts.DP < 1 || ts.PP < 1 || ts.TP < 1 {
 		return fmt.Errorf("collective: train dims must be >= 1, got dp=%d pp=%d tp=%d", ts.DP, ts.PP, ts.TP)
 	}
+	// Each dim is bounded before they multiply (here and in the gradient
+	// minimum), so a product cannot wrap around into range.
+	if ts.DP > maxCollectiveGPUs || ts.PP > maxCollectiveGPUs || ts.TP > maxCollectiveGPUs {
+		return fmt.Errorf("collective: train dims must be <= %d, got dp=%d pp=%d tp=%d",
+			maxCollectiveGPUs, ts.DP, ts.PP, ts.TP)
+	}
 	ng := ts.GPUs()
 	if ng < 2 || ng > maxCollectiveGPUs {
 		return fmt.Errorf("collective: train gpus %d (dp·pp·tp) outside [2,%d]", ng, maxCollectiveGPUs)

@@ -175,10 +175,10 @@ type Network struct {
 	obs    Observer
 	hopObs HopObserver
 
-	// xfree recycles transfer pipelines (see xfer.go): Send is the
+	// xfers recycles transfer pipelines (see xfer.go): Send is the
 	// fabric's hottest entry point, and building a closure chain per
 	// packet dominated allocation profiles.
-	xfree []*xfer
+	xfers *des.Pool[xfer]
 }
 
 // New builds the network on the given scheduler.
@@ -194,6 +194,7 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		sched:   sched,
 		perLink: make([]core.Bytes, cfg.NumGPUs*cfg.NumGPUs),
 	}
+	n.xfers = des.NewPool(func(x *xfer) { x.n, x.resume = n, x.step })
 	if cfg.Faults.Enabled() {
 		fi, err := faults.NewInjector(cfg.Faults)
 		if err != nil {
@@ -314,18 +315,18 @@ func (n *Network) Send(src, dst int, wireBytes int, done func()) {
 	n.BytesSent += core.Bytes(wireBytes)
 	n.perLink[src*n.cfg.NumGPUs+dst] += core.Bytes(wireBytes)
 
-	x := n.getXfer()
+	x := n.xfers.Get()
 	x.src, x.dst, x.wireBytes = src, dst, wireBytes
 	x.try, x.frac = 0, 1
 	x.start = n.sched.Now()
 	x.done = done
 	n.inFlight++
 	n.armWatchdog()
-	next := x.stage.attempt
+	next := stageAttempt
 	if n.fi != nil {
-		next = x.stage.reserve
+		next = stageReserve
 	}
-	n.credits[dst].Acquire(n.destCredits(wireBytes), next)
+	n.credits[dst].Acquire(n.destCredits(wireBytes), x.then(next))
 }
 
 // destCredits returns the destination credits a message holds end to end.

@@ -20,19 +20,25 @@ package interconnect
 // Fault state is keyed by the end-to-end (src,dst) GPU pair: the
 // dead-link and bandwidth checks run once per attempt at hop 0, and the
 // degraded fraction stretches every hop of that attempt.
+//
+// A message's state is one xfer from the network's pool. It binds one
+// callback, resume: a stage that waits on des (credits, a server, a
+// latency, a backoff) names the stage to run next and hands over resume,
+// so the scheduler sees the same calls, in the same order, as it would
+// with a callback per stage.
 
 import (
 	"finepack/internal/core"
 	"finepack/internal/des"
 )
 
-// xfer carries one message through the pipeline. Its stage callbacks are
-// bound once per object, and its lifecycle is strictly linear, so a
-// delivered xfer is recycled through Network.xfree and a steady packet
-// stream allocates nothing per message. Credit counts are recomputed from
-// wireBytes where they are taken and returned rather than stored, which
-// keeps the struct in the 128-byte size class: a run allocates one xfer
-// per message in flight at its peak.
+// xfer carries one message through the pipeline. Its lifecycle is
+// strictly linear — at most one of its callbacks is pending in des at a
+// time — which lets its stages share one resume and lets a delivered
+// xfer go back to Network.xfers for the next message. Credit counts are
+// recomputed from wireBytes where they are taken and returned rather
+// than stored, which keeps the struct small: a run makes one xfer per
+// message in flight at its peak.
 type xfer struct {
 	n         *Network
 	src, dst  int
@@ -48,26 +54,50 @@ type xfer struct {
 	hopStart des.Time
 	done     func()
 
-	stage struct{ reserve, attempt, serialize, forward, arrived func() }
+	// resume is x.step, bound once per pooled xfer; next is the stage it
+	// runs.
+	resume func()
+	next   stage
 }
 
-//finepack:allow hotalloc -- the stage method values bind once per pooled xfer on the freelist miss path and are reused for the object's lifetime
-func (n *Network) getXfer() *xfer {
-	if k := len(n.xfree); k > 0 {
-		x := n.xfree[k-1]
-		n.xfree[k-1] = nil
-		n.xfree = n.xfree[:k-1]
-		return x
+// stage names the step a pending resume runs.
+type stage uint8
+
+const (
+	stageReserve stage = iota
+	stageAttempt
+	stageSerialize
+	stageForward
+	stageArrived
+)
+
+// then returns the callback that resumes x at stage s.
+func (x *xfer) then(s stage) func() {
+	x.next = s
+	return x.resume
+}
+
+// step runs the stage x was parked at.
+//
+//finepack:hotpath every stage of every message resumes here
+func (x *xfer) step() {
+	switch x.next {
+	case stageReserve:
+		x.reserve()
+	case stageAttempt:
+		x.attempt()
+	case stageSerialize:
+		x.serialize()
+	case stageForward:
+		x.forward()
+	case stageArrived:
+		x.arrived()
 	}
-	x := &xfer{n: n}
-	x.stage.reserve, x.stage.attempt = x.reserve, x.attempt
-	x.stage.serialize, x.stage.forward, x.stage.arrived = x.serialize, x.forward, x.arrived
-	return x
 }
 
 // reserve takes a slot in the source's replay buffer; the packet holds it
 // until acked.
-func (x *xfer) reserve() { x.n.replaySlots[x.src].Acquire(1, x.stage.attempt) }
+func (x *xfer) reserve() { x.n.replaySlots[x.src].Acquire(1, x.then(stageAttempt)) }
 
 // attempt starts one transmission at hop 0.
 func (x *xfer) attempt() {
@@ -100,7 +130,7 @@ func (x *xfer) enter() {
 		x.serialize()
 		return
 	}
-	l.cred.Acquire(creditsFor(x.wireBytes, l.maxCredits), x.stage.serialize)
+	l.cred.Acquire(creditsFor(x.wireBytes, l.maxCredits), x.then(stageSerialize))
 }
 
 func (x *xfer) serialize() {
@@ -109,7 +139,7 @@ func (x *xfer) serialize() {
 	if bw > 0 {
 		bw *= x.frac
 	}
-	l.srv.Request(des.DurationForBytes(uint64(x.wireBytes), bw), x.stage.forward)
+	l.srv.Request(des.DurationForBytes(uint64(x.wireBytes), bw), x.then(stageForward))
 }
 
 func (x *xfer) forward() {
@@ -118,7 +148,7 @@ func (x *xfer) forward() {
 		x.arrived()
 		return
 	}
-	x.n.sched.After(l.latency, x.stage.arrived)
+	x.n.sched.After(l.latency, x.then(stageArrived))
 }
 
 // arrived accounts the hop and moves on: the next hop, or the receiver.
@@ -154,7 +184,7 @@ func (x *xfer) nak() {
 	if n.obs != nil {
 		n.obs.ReplayScheduled(x.src, x.dst, x.wireBytes, x.try, n.sched.Now())
 	}
-	n.sched.After(n.backoff(x.try), x.stage.attempt)
+	n.sched.After(n.backoff(x.try), x.then(stageAttempt))
 	x.try++
 }
 
@@ -172,7 +202,7 @@ func (x *xfer) deliver() {
 	}
 	done := x.done
 	x.done = nil
-	n.xfree = append(n.xfree, x)
+	n.xfers.Put(x)
 	if done != nil {
 		done()
 	}

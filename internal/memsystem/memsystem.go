@@ -166,47 +166,44 @@ type IngressBuffer struct {
 	DrainBW float64
 	// StoresDrained counts stores written through to memory.
 	StoresDrained uint64
-	// free recycles per-store ingress pipelines: Accept runs once per
+	// ops recycles per-store ingress pipelines: Accept runs once per
 	// disaggregated store (the simulator's highest-frequency call site),
-	// and its acquire→drain→release closure chain is pre-bound per op so
-	// a steady stream allocates nothing.
-	free []*ingressOp
+	// and its acquire→drain→release chain resumes one callback bound per
+	// pooled op, so a steady stream allocates nothing.
+	ops *des.Pool[ingressOp]
 }
 
-// ingressOp is one store's slot-acquire → drain → slot-release pipeline
-// with stage callbacks bound once; strictly linear lifecycle, recycled on
+// ingressOp is one store's slot-acquire → drain → slot-release pipeline.
+// Its lifecycle is strictly linear, so it binds one callback, resume, and
+// draining tells resume which wait just ended. It is recycled on
 // completion.
 type ingressOp struct {
 	b        *IngressBuffer
 	slots    int
 	service  des.Time
 	done     func()
-	acquired func()
-	drained  func()
+	resume   func() // op.step
+	draining bool   // resume runs after the drain, not the slot acquire
 }
 
-//finepack:allow hotalloc -- the stage closures bind once per pooled ingress op on the freelist miss path and are reused thereafter
-func (b *IngressBuffer) getOp() *ingressOp {
-	if len(b.free) > 0 {
-		op := b.free[len(b.free)-1]
-		b.free[len(b.free)-1] = nil
-		b.free = b.free[:len(b.free)-1]
-		return op
+// step drains the store once its slots are held, then releases them.
+//
+//finepack:hotpath runs once per stage of every disaggregated store
+func (op *ingressOp) step() {
+	b := op.b
+	if !op.draining {
+		op.draining = true
+		b.drain.Request(op.service, op.resume)
+		return
 	}
-	op := &ingressOp{b: b}
-	op.acquired = func() { op.b.drain.Request(op.service, op.drained) }
-	op.drained = func() {
-		buf := op.b
-		buf.slots.Release(op.slots)
-		buf.StoresDrained++
-		done := op.done
-		op.done = nil
-		buf.free = append(buf.free, op)
-		if done != nil {
-			done()
-		}
+	b.slots.Release(op.slots)
+	b.StoresDrained++
+	done := op.done
+	op.done = nil
+	b.ops.Put(op)
+	if done != nil {
+		done()
 	}
-	return op
 }
 
 // DefaultIngressEntries matches §IV-B's de-packetizer buffer.
@@ -222,12 +219,14 @@ func NewIngressBuffer(sched *des.Scheduler, entries int, drainBW float64) *Ingre
 	if entries <= 0 {
 		entries = DefaultIngressEntries
 	}
-	return &IngressBuffer{
+	b := &IngressBuffer{
 		sched:   sched,
 		slots:   des.NewTokenPool(sched, entries),
 		drain:   des.NewServer(sched),
 		DrainBW: drainBW,
 	}
+	b.ops = des.NewPool(func(op *ingressOp) { op.b, op.resume = b, op.step })
+	return b
 }
 
 // Accept ingests one disaggregated store: it occupies a slot until the
@@ -240,11 +239,12 @@ func (b *IngressBuffer) Accept(s core.Store, done func()) {
 	if core.LineAddr(s.Addr) != core.LineAddr(s.Addr+uint64(s.Size)-1) {
 		slots = 2
 	}
-	op := b.getOp()
+	op := b.ops.Get()
 	op.slots = slots
 	op.service = des.DurationForBytes(uint64(s.Size), b.DrainBW)
 	op.done = done
-	b.slots.Acquire(slots, op.acquired)
+	op.draining = false
+	b.slots.Acquire(slots, op.resume)
 }
 
 // FreeSlots returns the currently available slot count.

@@ -48,53 +48,43 @@ type sender struct {
 	// into the local memory system. Nil skips ingress modeling.
 	ingest func(*core.Packet, func())
 	// completeFn caches the complete method value so the per-packet
-	// delivery path never re-binds it; free recycles delivery callbacks
+	// delivery path never re-binds it; ops recycles delivery callbacks
 	// (see sendOp).
 	completeFn func()
-	free       []*sendOp
+	ops        *des.Pool[sendOp]
 }
 
-// sendOp is one in-flight packet's delivery callback, pre-bound once and
-// recycled: send/transmit are per-packet hot paths and a fresh closure per
-// message dominated allocation profiles. Exactly one of p / arrived is set.
+// newSender returns GPU src's sender, its pooled delivery callbacks bound
+// to it.
+func newSender(sched *des.Scheduler, net *interconnect.Network, src int, rec *obs.Recorder) *sender {
+	s := &sender{sched: sched, net: net, src: src, obs: rec}
+	s.completeFn = s.complete
+	s.ops = des.NewPool(func(op *sendOp) { op.s, op.fire = s, op.delivered })
+	return s
+}
+
+// sendOp is one in-flight message's delivery callback, bound once per
+// pooled op: send/transmit are per-packet hot paths and a fresh closure
+// per message dominated allocation profiles. p is nil for raw transfers.
 type sendOp struct {
-	s       *sender
-	p       *core.Packet
-	arrived func()
-	fire    func()
+	s    *sender
+	p    *core.Packet
+	fire func() // op.delivered
 }
 
-//finepack:allow hotalloc -- the fire closure and complete binding happen once per pooled send op on the freelist miss path
-func (s *sender) getOp() *sendOp {
-	if len(s.free) > 0 {
-		op := s.free[len(s.free)-1]
-		s.free[len(s.free)-1] = nil
-		s.free = s.free[:len(s.free)-1]
-		return op
+// delivered recycles the op and retires its message: a packet passes
+// through destination ingest first, when modeled.
+//
+//finepack:hotpath every delivered message retires here
+func (op *sendOp) delivered() {
+	s, p := op.s, op.p
+	op.p = nil
+	s.ops.Put(op)
+	if p != nil && s.ingest != nil {
+		s.ingest(p, s.completeFn)
+		return
 	}
-	if s.completeFn == nil {
-		s.completeFn = s.complete
-	}
-	op := &sendOp{s: s}
-	op.fire = func() {
-		snd := op.s
-		p, arrived := op.p, op.arrived
-		op.p, op.arrived = nil, nil
-		snd.free = append(snd.free, op)
-		if p != nil {
-			if snd.ingest != nil {
-				snd.ingest(p, snd.completeFn)
-				return
-			}
-			snd.complete()
-			return
-		}
-		if arrived != nil {
-			arrived()
-		}
-		snd.complete()
-	}
-	return op
+	s.complete()
 }
 
 //finepack:hotpath egress: every emitted packet passes through here
@@ -104,21 +94,31 @@ func (s *sender) send(p *core.Packet) {
 			p.StoresMerged, len(p.Subs), p.WireBytes, s.sched.Now())
 	}
 	s.outstanding++
-	op := s.getOp()
+	op := s.ops.Get()
 	op.p = p
 	s.net.Send(s.src, p.Dst, p.WireBytes, op.fire)
 }
 
 // transmit moves raw wire bytes toward dst under the outstanding/drain
-// bookkeeping, bypassing packet ingestion; arrived (may be nil) fires on
-// delivery.
+// bookkeeping, bypassing packet ingestion.
 //
 //finepack:hotpath egress for the non-packetized paradigms
-func (s *sender) transmit(dst, wireBytes int, arrived func()) {
+func (s *sender) transmit(dst, wireBytes int) {
 	s.outstanding++
-	op := s.getOp()
-	op.arrived = arrived
-	s.net.Send(s.src, dst, wireBytes, op.fire)
+	s.net.Send(s.src, dst, wireBytes, s.ops.Get().fire)
+}
+
+// sendPlain sends one store as its own plain write packet.
+func (s *sender) sendPlain(cfg core.Config, st core.Store) error {
+	if err := st.Validate(); err != nil {
+		return err
+	}
+	data := make([]byte, st.Size)
+	for i := range data {
+		data[i] = st.Byte(i)
+	}
+	s.send(core.NewPlainPacket(cfg, st.Dst, st.Addr, data))
+	return nil
 }
 
 // complete retires one in-flight unit and fires a pending drain.
@@ -151,15 +151,10 @@ type p2pEgress struct {
 }
 
 func (e *p2pEgress) store(st core.Store) error {
-	if err := st.Validate(); err != nil {
+	if err := e.s.sendPlain(e.cfg, st); err != nil {
 		return err
 	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
 	e.bytesOut += core.Bytes(st.Size)
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
 	return nil
 }
 
@@ -248,17 +243,7 @@ func (e *wcEgress) store(st core.Store) error { return e.wc.Write(st) }
 
 // atomic bypasses the combining buffer: write combining does not merge
 // atomics either; they egress as individual plain writes.
-func (e *wcEgress) atomic(st core.Store) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
-	return nil
-}
+func (e *wcEgress) atomic(st core.Store) error { return e.s.sendPlain(e.cfg, st) }
 
 func (e *wcEgress) flush(done func()) {
 	e.wc.FlushAll()
@@ -339,7 +324,7 @@ func (e *umEgress) flush(done func()) {
 			_, wire := e.cfg.TLP.TLPsForTransfer(e.pageBytes, e.cfg.MaxPayload)
 			e.PagesMigrated++
 			e.s.sched.At(cursor, func() {
-				e.s.transmit(dst, int(wire), nil)
+				e.s.transmit(dst, int(wire))
 			})
 		}
 		e.pages[dst] = make(map[uint64]struct{})
@@ -387,17 +372,7 @@ func (e *gpsEgress) store(st core.Store) error { return e.g.Write(st) }
 
 // atomic bypasses combining and subscription: atomics must reach the
 // destination.
-func (e *gpsEgress) atomic(st core.Store) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	data := make([]byte, st.Size)
-	for i := range data {
-		data[i] = st.Byte(i)
-	}
-	e.s.send(core.NewPlainPacket(e.cfg, st.Dst, st.Addr, data))
-	return nil
-}
+func (e *gpsEgress) atomic(st core.Store) error { return e.s.sendPlain(e.cfg, st) }
 
 func (e *gpsEgress) flush(done func()) {
 	e.g.FlushAll()

@@ -232,7 +232,7 @@ type runner struct {
 	// Destination de-packetizer buffers (store paradigms, non-UM) and the
 	// recycled per-packet ingest pipelines feeding them.
 	ingress []*memsystem.IngressBuffer
-	ifree   []*ingestOp
+	ingests *des.Pool[ingestOp]
 
 	finished bool
 	endTime  des.Time
@@ -277,8 +277,11 @@ func (r *runner) setup() error {
 		}
 	}
 	r.ingress = ingress
+	if ingress != nil {
+		r.ingests = des.NewPool(func(op *ingestOp) { op.r, op.storeDone = r, op.storeDrained })
+	}
 	for g := 0; g < r.meta.NumGPUs; g++ {
-		s := &sender{sched: r.sched, net: r.net, src: g, obs: r.obsRec}
+		s := newSender(r.sched, r.net, g, r.obsRec)
 		if ingress != nil {
 			s.ingest = r.ingest
 		}
@@ -319,37 +322,30 @@ type ingestOp struct {
 	pos       int
 	remaining int
 	done      func()
-	storeDone func()
+	storeDone func() // op.storeDrained, bound once per pooled op
 }
 
-//finepack:allow hotalloc -- the stage closures bind once per pooled ingest op on the freelist miss path
-func (r *runner) getIngestOp() *ingestOp {
-	if len(r.ifree) > 0 {
-		op := r.ifree[len(r.ifree)-1]
-		r.ifree[len(r.ifree)-1] = nil
-		r.ifree = r.ifree[:len(r.ifree)-1]
-		return op
+// storeDrained retires one of the op's stores; the last one recycles the
+// op and completes the packet.
+//
+//finepack:hotpath runs once per disaggregated store at the destination
+func (op *ingestOp) storeDrained() {
+	r := op.r
+	if r.actMem != nil {
+		st := op.stores[op.pos]
+		r.actMem[st.Dst].Write(st)
 	}
-	op := &ingestOp{r: r}
-	op.storeDone = func() {
-		rr := op.r
-		if rr.actMem != nil {
-			st := op.stores[op.pos]
-			rr.actMem[st.Dst].Write(st)
-		}
-		op.pos++
-		op.remaining--
-		if op.remaining == 0 {
-			done := op.done
-			op.done = nil
-			clear(op.stores) // don't pin packet payloads via the scratch
-			op.stores = op.stores[:0]
-			op.pos = 0
-			rr.ifree = append(rr.ifree, op)
-			done()
-		}
+	op.pos++
+	op.remaining--
+	if op.remaining == 0 {
+		done := op.done
+		op.done = nil
+		clear(op.stores) // don't pin packet payloads via the scratch
+		op.stores = op.stores[:0]
+		op.pos = 0
+		r.ingests.Put(op)
+		done()
 	}
-	return op
 }
 
 // ingest consumes a delivered packet at its destination: each disaggregated
@@ -358,11 +354,11 @@ func (r *runner) getIngestOp() *ingestOp {
 //
 //finepack:hotpath ingress: every delivered packet passes through here
 func (r *runner) ingest(p *core.Packet, done func()) {
-	op := r.getIngestOp()
+	op := r.ingests.Get()
 	op.stores = core.DepacketizeAppend(op.stores[:0], p)
 	if len(op.stores) == 0 {
 		op.stores = op.stores[:0]
-		r.ifree = append(r.ifree, op)
+		r.ingests.Put(op)
 		r.sched.After(0, done)
 		return
 	}
