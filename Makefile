@@ -25,6 +25,9 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzQueueWrite -fuzztime=10s ./internal/core
 	go test -run='^$$' -fuzz=FuzzTopoSpec -fuzztime=10s ./internal/topo
 	go test -run='^$$' -fuzz=FuzzTrainSpec -fuzztime=10s ./internal/collective
+	go test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/tracestream
+	go test -run='^$$' -fuzz=FuzzProfile -fuzztime=10s ./internal/tracestream
+	go test -run='^$$' -fuzz=FuzzFromEdgeList -fuzztime=10s ./internal/datasets
 
 # End-to-end observability smoke: one tiny instrumented run through the
 # CLI. The observe verb validates its own artifacts before writing (the
@@ -139,8 +142,8 @@ bench-smoke:
 # StreamedSSSP the streamed-trace path, WorkloadGenerate the in-place CSR
 # graph build, and NetworkSendBurstFlat4/Pod4x8 the pooled transfer
 # pipeline (one allocation per message in flight). The baseline is the
-# snapshot taken after the pipeline objects moved onto des.Pool.
-BENCH_BASELINE := BENCH_2026-10-17-pool.json
+# snapshot taken after plain packets moved onto per-producer slabs.
+BENCH_BASELINE := BENCH_2026-10-17-slab.json
 comma := ,
 BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate,BenchmarkNetworkSendBurstFlat4,BenchmarkNetworkSendBurstPod4x8
 bench-compare:

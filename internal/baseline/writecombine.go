@@ -32,6 +32,7 @@ type WriteCombiner struct {
 	parts   map[int]*wcPartition
 	emit    func(*core.Packet)
 	stats   WCStats
+	slab    core.PacketSlab // emitted packets and their bytes
 
 	// FullLine selects whole-cacheline flushes (the GPS transfer scheme).
 	FullLine bool
@@ -153,13 +154,13 @@ func (w *WriteCombiner) flushPartition(dst int, p *wcPartition) {
 		}
 		w.stats.EnabledBytes += uint64(l.mask.Count())
 		if w.FullLine {
-			data := make([]byte, core.CacheLineBytes)
+			data := w.slab.Bytes(core.CacheLineBytes)
 			copy(data, l.data[:])
 			w.emitPlain(dst, la, data)
 			continue
 		}
 		for _, run := range l.mask.Runs() {
-			data := make([]byte, run.Len)
+			data := w.slab.Bytes(run.Len)
 			copy(data, l.data[run.Start:run.Start+run.Len])
 			w.emitPlain(dst, la+uint64(run.Start), data)
 		}
@@ -169,7 +170,7 @@ func (w *WriteCombiner) flushPartition(dst int, p *wcPartition) {
 }
 
 func (w *WriteCombiner) emitPlain(dst int, addr uint64, data []byte) {
-	pkt := core.NewPlainPacket(w.tlp, dst, addr, data)
+	pkt := w.slab.Plain(w.tlp, dst, addr, data)
 	w.stats.Packets++
 	w.stats.WireBytes += uint64(pkt.WireBytes)
 	w.stats.DataBytes += uint64(pkt.PayloadBytes)

@@ -116,9 +116,22 @@ func (p *Packet) SubheaderOverhead(cfg Config) int {
 
 // NewPlainPacket builds an ordinary memory-write packet carrying data to
 // dst at addr, with wire accounting under cfg. The packet and its single
-// sub-packet are one allocation.
+// sub-packet are one allocation. Producers that emit plain packets per
+// store carve them from a PacketSlab instead.
 func NewPlainPacket(cfg Config, dst int, addr uint64, data []byte) *Packet {
-	pp := &plainPacket{
+	return new(plainPacket).init(cfg, dst, addr, data)
+}
+
+// plainPacket co-allocates a plain packet with the backing array of its
+// one-element Subs.
+type plainPacket struct {
+	Packet
+	sub [1]SubPacket
+}
+
+// init fills pp as a plain packet carrying data to dst at addr.
+func (pp *plainPacket) init(cfg Config, dst int, addr uint64, data []byte) *Packet {
+	*pp = plainPacket{
 		Packet: Packet{
 			Dst:          dst,
 			BaseAddr:     addr,
@@ -130,13 +143,6 @@ func NewPlainPacket(cfg Config, dst int, addr uint64, data []byte) *Packet {
 	pp.Subs = pp.sub[:]
 	pp.finalize(cfg)
 	return &pp.Packet
-}
-
-// plainPacket co-allocates a plain packet with the backing array of its
-// one-element Subs.
-type plainPacket struct {
-	Packet
-	sub [1]SubPacket
 }
 
 // Depacketize reverses the packetizer: it expands a packet into the

@@ -34,14 +34,18 @@ type Queue struct {
 	// Freelists recycle the structures that churn on every window flush.
 	// Recycled windows keep their entry map (emptied) and order slice;
 	// recycled entries keep their data array — safe because the byte mask
-	// is reset and all reads are mask-gated. Emitted packets and their
-	// payload buffers are not recycled but allocated at their exact final
-	// size: tens of thousands can be in flight at once, and a pool would
-	// hold that peak, at its largest capacities, for the rest of the run.
+	// is reset and all reads are mask-gated. Emitted packets are never
+	// recycled: tens of thousands can be in flight at once, and a pool
+	// would hold that peak, at its largest capacities, for the rest of the
+	// run. A window packet and its payload buffer are allocated at their
+	// exact final size. Plain packets (atomics, entry flushes, fallback
+	// runs) and their bytes are carved from slab, which recycles nothing
+	// and keeps alive only its current chunks.
 	freeWindows []*window
 	freeEntries []*lineEntry
 	runScratch  []Run
 	dstScratch  []int
+	slab        PacketSlab
 }
 
 // QueueStats aggregates the counters behind Figs 10 and 11.
@@ -428,11 +432,11 @@ func (q *Queue) Atomic(s Store) error {
 			}
 		}
 	}
-	data := make([]byte, s.Size)
+	data := q.slab.Bytes(s.Size)
 	for i := range data {
 		data[i] = s.Byte(i)
 	}
-	pkt := NewPlainPacket(q.cfg, s.Dst, s.Addr, data)
+	pkt := q.slab.Plain(q.cfg, s.Dst, s.Addr, data)
 	pkt.Cause = CauseAtomic
 	q.stats.PlainPackets++
 	q.accountWire(pkt)
@@ -524,9 +528,9 @@ func (q *Queue) flushEntry(p *partition, w *window, line uint64, cause FlushCaus
 	// queue without trampling shared scratch space.
 	var runsBuf [CacheLineBytes / 2]Run
 	for _, run := range e.mask.AppendRuns(runsBuf[:0]) {
-		data := make([]byte, run.Len)
+		data := q.slab.Bytes(run.Len)
 		copy(data, e.data[run.Start:run.Start+run.Len])
-		pkt := NewPlainPacket(q.cfg, p.dst, e.line+uint64(run.Start), data)
+		pkt := q.slab.Plain(q.cfg, p.dst, e.line+uint64(run.Start), data)
 		pkt.Cause = cause
 		q.stats.PlainPackets++
 		q.accountWire(pkt)
@@ -556,8 +560,8 @@ func (q *Queue) flushWindow(p *partition, w *window, cause FlushCause) {
 	q.stats.Flushes[cause]++
 
 	// The window's accounting sizes everything up front: runs bounds the
-	// sub-packets (fallback runs go to plain packets instead) and
-	// payloadUsed less the sub-headers is exactly the enabled bytes, so
+	// sub-packets (fallback runs go to slab-carved plain packets instead)
+	// and payloadUsed less the sub-headers is exactly the enabled bytes, so
 	// the packet, its Subs and one backing payload buffer are three
 	// allocations whatever the run count. Sub-slices are capacity-capped
 	// so no append through one can reach a neighbour. No emit happens
@@ -581,7 +585,7 @@ func (q *Queue) flushWindow(p *partition, w *window, cause FlushCause) {
 			data := buf[start:len(buf):len(buf)]
 			offset := absolute - w.base
 			if offset >= q.cfg.AddressableRange() {
-				fb := NewPlainPacket(q.cfg, p.dst, absolute, data)
+				fb := q.slab.Plain(q.cfg, p.dst, absolute, data)
 				fb.Cause = cause
 				fallbacks = append(fallbacks, fb) //finepack:allow hotalloc -- stays nil except for the rare line that straddles the window end
 				continue

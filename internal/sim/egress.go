@@ -52,6 +52,10 @@ type sender struct {
 	// (see sendOp).
 	completeFn func()
 	ops        *des.Pool[sendOp]
+	// slab carves sendPlain's packets and their store bytes; plainBytes
+	// counts the store bytes sendPlain has sent, for Result.DataBytes.
+	slab       core.PacketSlab
+	plainBytes core.Bytes
 }
 
 // newSender returns GPU src's sender, its pooled delivery callbacks bound
@@ -109,15 +113,18 @@ func (s *sender) transmit(dst, wireBytes int) {
 }
 
 // sendPlain sends one store as its own plain write packet.
+//
+//finepack:hotpath egress: every P2P store and every WC/GPS atomic
 func (s *sender) sendPlain(cfg core.Config, st core.Store) error {
 	if err := st.Validate(); err != nil {
 		return err
 	}
-	data := make([]byte, st.Size)
+	data := s.slab.Bytes(st.Size)
 	for i := range data {
 		data[i] = st.Byte(i)
 	}
-	s.send(core.NewPlainPacket(cfg, st.Dst, st.Addr, data))
+	s.send(s.slab.Plain(cfg, st.Dst, st.Addr, data))
+	s.plainBytes += core.Bytes(st.Size)
 	return nil
 }
 
@@ -145,24 +152,17 @@ func (s *sender) drain(done func()) {
 // p2pEgress sends every store as its own plain PCIe write TLP: today's
 // peer-to-peer store path (Fig 1, no coalescing beyond L1).
 type p2pEgress struct {
-	cfg      core.Config
-	s        *sender
-	bytesOut core.Bytes
+	cfg core.Config
+	s   *sender
 }
 
-func (e *p2pEgress) store(st core.Store) error {
-	if err := e.s.sendPlain(e.cfg, st); err != nil {
-		return err
-	}
-	e.bytesOut += core.Bytes(st.Size)
-	return nil
-}
+func (e *p2pEgress) store(st core.Store) error { return e.s.sendPlain(e.cfg, st) }
 
 func (e *p2pEgress) atomic(st core.Store) error { return e.store(st) }
 
 func (e *p2pEgress) flush(done func()) { e.s.drain(done) }
 
-func (e *p2pEgress) accumulate(r *Result) { r.DataBytes += e.bytesOut }
+func (e *p2pEgress) accumulate(r *Result) { r.DataBytes += e.s.plainBytes }
 
 func (e *p2pEgress) pendingStores() int { return 0 }
 
@@ -250,7 +250,11 @@ func (e *wcEgress) flush(done func()) {
 	e.s.drain(done)
 }
 
-func (e *wcEgress) accumulate(r *Result) { r.DataBytes += core.Bytes(e.wc.Stats().DataBytes) }
+// accumulate counts the combiner's flushed bytes and the atomics that
+// bypassed it.
+func (e *wcEgress) accumulate(r *Result) {
+	r.DataBytes += core.Bytes(e.wc.Stats().DataBytes) + e.s.plainBytes
+}
 
 func (e *wcEgress) pendingStores() int { return 0 }
 
@@ -379,9 +383,11 @@ func (e *gpsEgress) flush(done func()) {
 	e.s.drain(done)
 }
 
+// accumulate counts the subscribed lines sent and the atomics that
+// bypassed combining.
 func (e *gpsEgress) accumulate(r *Result) {
 	sentPackets := e.g.Stats().Packets - e.g.ElidedPackets
-	r.DataBytes += core.Bytes(sentPackets * core.CacheLineBytes)
+	r.DataBytes += core.Bytes(sentPackets*core.CacheLineBytes) + e.s.plainBytes
 }
 
 func (e *gpsEgress) pendingStores() int { return 0 }

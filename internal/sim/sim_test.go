@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"finepack/internal/core"
 	"finepack/internal/des"
+	"finepack/internal/gpusim"
 	"finepack/internal/pcie"
 	"finepack/internal/trace"
 	"finepack/internal/workloads"
@@ -358,6 +360,46 @@ func TestAtomicsOnAllEngines(t *testing.T) {
 	for _, par := range []Paradigm{P2P, FinePack, WriteCombining, GPS} {
 		if _, err := Run(tr, par, DefaultConfig()); err != nil {
 			t.Fatalf("%v: %v", par, err)
+		}
+	}
+}
+
+// TestAtomicDataBytesEqualAcrossEngines: atomics are never coalesced, so
+// every store engine sends each atomic's bytes exactly once, and adding a
+// trace's atomic warps raises DataBytes by the same amount under each.
+func TestAtomicDataBytesEqualAcrossEngines(t *testing.T) {
+	with := genTrace(t, "sssp", 4)
+	without := *with
+	without.Iterations = make([]trace.Iteration, len(with.Iterations))
+	for i, it := range with.Iterations {
+		perGPU := make([]trace.GPUWork, len(it.PerGPU))
+		for g, w := range it.PerGPU {
+			w.Stores = slices.DeleteFunc(slices.Clone(w.Stores),
+				func(ws gpusim.WarpStore) bool { return ws.Atomic })
+			perGPU[g] = w
+		}
+		without.Iterations[i] = trace.Iteration{PerGPU: perGPU}
+	}
+	var want core.Bytes
+	for _, par := range []Paradigm{P2P, FinePack, WriteCombining, GPS} {
+		a, err := Run(with, par, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(&without, par, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := a.DataBytes - b.DataBytes
+		if par == P2P {
+			if delta == 0 {
+				t.Fatal("sssp trace has no atomic bytes")
+			}
+			want = delta
+			continue
+		}
+		if delta != want {
+			t.Errorf("%v: atomics add %d data bytes, P2P's add %d", par, delta, want)
 		}
 	}
 }
