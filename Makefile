@@ -28,6 +28,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/tracestream
 	go test -run='^$$' -fuzz=FuzzProfile -fuzztime=10s ./internal/tracestream
 	go test -run='^$$' -fuzz=FuzzFromEdgeList -fuzztime=10s ./internal/datasets
+	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s ./internal/serve
 
 # End-to-end observability smoke: one tiny instrumented run through the
 # CLI. The observe verb validates its own artifacts before writing (the
@@ -85,13 +86,11 @@ vet:
 
 # Build and run the determinism-contract multichecker (see DESIGN.md,
 # "Determinism contract" and DESIGN.md §13): wallclock, unseededrand,
-# maporder, goroutinefree, sprintfkey, hotalloc, simunits, lockheld. Runs
-# under both queue selections (the des_heapq heap files carry their own
-# hotpath annotations), then audits every //finepack:allow for a real
-# analyzer name and a written justification.
+# maporder, goroutinefree, sprintfkey, hotalloc, simunits, lockheld. Then
+# audits every //finepack:allow for a real analyzer name and a written
+# justification.
 lint:
 	go run ./cmd/finepack-vet ./...
-	go run ./cmd/finepack-vet -tags des_heapq ./...
 	go run ./cmd/finepack-vet -allowances ./... > /dev/null
 
 # Fails when any file needs gofmt, listing the offenders. (The old
@@ -159,11 +158,11 @@ fuzz:
 	go test -fuzz=FuzzDecodePacket -fuzztime=30s ./internal/core/
 	go test -fuzz=FuzzQueueWrite -fuzztime=30s ./internal/core/
 	go test -fuzz=FuzzFromEdgeList -fuzztime=30s ./internal/datasets/
-	go test -fuzz=FuzzLoad -fuzztime=30s ./internal/trace/
 	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/
 	go test -fuzz=FuzzTopoSpec -fuzztime=30s ./internal/topo/
 	go test -fuzz=FuzzTrainSpec -fuzztime=30s ./internal/collective/
+	go test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/serve/
 
 # Regenerate the checked-in artifacts under docs/.
 figures:

@@ -180,7 +180,7 @@ experiments:
   observe     one instrumented run; write -trace-json / -metrics-out /
               -timeline-svg artifacts (workload/paradigm via -trace-workload,
               -trace-paradigm)
-  stream      one run fed from a trace file or synthesis profile
+  stream      one run fed from a v2 trace file or synthesis profile
               (-stream-trace / -stream-synth, paradigm via -stream-paradigm);
               streams in O(window) memory
   topo-crossover  goodput vs store fanout on a hierarchical multi-hop

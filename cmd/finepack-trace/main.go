@@ -1,19 +1,16 @@
-// Command finepack-trace generates, inspects, converts and summarizes
-// workload traces — the offline counterpart of the NVBit collection step
-// the paper describes. Usage:
+// Command finepack-trace generates, inspects and summarizes workload
+// traces — the offline counterpart of the NVBit collection step the paper
+// describes. Usage:
 //
-//	finepack-trace gen  -workload sssp -o sssp.trace [flags]
-//	finepack-trace info sssp.trace
-//	finepack-trace hist sssp.trace
-//	finepack-trace convert -o sssp.fps sssp.trace
+//	finepack-trace gen  -workload sssp -o sssp.fps [flags]
+//	finepack-trace info sssp.fps
+//	finepack-trace hist sssp.fps
 //	finepack-trace synth -profile prof.json -o big.fps
 //
-// Every inspection command accepts either trace encoding: the v1 gob
-// file or the chunked, seekable v2 stream (DESIGN.md §14).
+// Every trace file is a chunked, seekable v2 stream (DESIGN.md §14).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,8 +42,6 @@ func main() {
 		err = withTrace(os.Args[2:], describe)
 	case "replay":
 		err = replay(os.Args[2:])
-	case "convert":
-		err = convert(os.Args[2:])
 	case "synth":
 		err = synth(os.Args[2:])
 	case "json":
@@ -68,22 +63,18 @@ func usage() {
 
 commands:
   gen   -workload <name> -o <file> [-gpus N] [-scale F] [-iters N] [-seed N]
-        [-format gob|stream]
-        generate a workload trace and write it to a file
+        generate a workload trace and write it to a file as a v2 stream
         workloads: %s
-  info      <file>  print trace summary; a v2 stream is summarized from its
-                    header and seek index without decoding the body
+  info      <file>  print trace summary from the header and seek index,
+                    without decoding the body
   hist      <file>  print the store-size histogram (Fig 4 view)
   describe  <file>  print paradigm-determining characteristics (sizes,
                     redundancy, intensity, pattern coverage)
   replay    [-paradigm name] [-trace-json f] [-metrics-out f] <file>
                     simulate the trace (default: all paradigms) and print
-                    timing/traffic results; v2 streams replay in O(window)
+                    timing/traffic results; the trace replays in O(window)
                     memory; the obs flags record one instrumented run (they
                     require -paradigm)
-  convert   -o <out> [-format stream|gob] <file>
-                    re-encode a trace between the gob v1 format and the
-                    chunked v2 stream (either direction)
   synth     -profile <json> -o <out>
                     expand a statistical synthesis profile into a v2 stream
                     file, one iteration window at a time
@@ -94,13 +85,12 @@ commands:
 func gen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	var (
-		name   = fs.String("workload", "", "workload name")
-		out    = fs.String("o", "", "output file")
-		gpus   = fs.Int("gpus", 4, "number of GPUs")
-		scale  = fs.Float64("scale", 1.0, "problem-size multiplier")
-		iters  = fs.Int("iters", 3, "iterations")
-		seed   = fs.Int64("seed", 1, "generation seed")
-		format = fs.String("format", "gob", "output encoding: gob (v1) or stream (chunked v2)")
+		name  = fs.String("workload", "", "workload name")
+		out   = fs.String("o", "", "output file")
+		gpus  = fs.Int("gpus", 4, "number of GPUs")
+		scale = fs.Float64("scale", 1.0, "problem-size multiplier")
+		iters = fs.Int("iters", 3, "iterations")
+		seed  = fs.Int64("seed", 1, "generation seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,15 +106,7 @@ func gen(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "gob":
-		err = tr.SaveFile(*out)
-	case "stream":
-		err = tracestream.WriteFile(*out, trace.NewSliceSource(tr))
-	default:
-		return fmt.Errorf("unknown -format %q (want gob or stream)", *format)
-	}
-	if err != nil {
+	if err := tracestream.WriteFile(*out, trace.NewSliceSource(tr)); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d GPUs, %d iterations, %d warp stores\n",
@@ -132,19 +114,19 @@ func gen(args []string) error {
 	return nil
 }
 
-// withTrace materializes either trace encoding for whole-trace analysis
-// commands. Streaming commands (replay, convert, synth) use sources
-// directly and never materialize.
+// withTrace materializes a trace file for whole-trace analysis commands.
+// Streaming commands (replay, synth) use sources directly and never
+// materialize.
 func withTrace(args []string, fn func(*trace.Trace) error) error {
 	if len(args) != 1 {
 		return fmt.Errorf("expected one trace file argument")
 	}
-	src, closer, err := tracestream.OpenSource(args[0])
+	f, err := tracestream.OpenFile(args[0])
 	if err != nil {
 		return err
 	}
-	defer closer()
-	tr, err := trace.Materialize(src)
+	defer f.Close()
+	tr, err := trace.Materialize(f.Source())
 	if err != nil {
 		return err
 	}
@@ -156,24 +138,17 @@ func infoCmd(args []string) error {
 		return fmt.Errorf("expected one trace file argument")
 	}
 	f, err := tracestream.OpenFile(args[0])
-	if err == nil {
-		defer f.Close()
-		return streamInfo(f)
-	}
-	if !errors.Is(err, tracestream.ErrNotStream) {
-		return err
-	}
-	tr, err := trace.LoadFile(args[0])
 	if err != nil {
 		return err
 	}
-	return info(tr)
+	defer f.Close()
+	return info(f)
 }
 
-// streamInfo summarizes a v2 stream from the header and seek index alone
-// — no iteration chunk is decoded, so a multi-gigabyte file answers in
+// info summarizes a v2 stream from the header and seek index alone — no
+// iteration chunk is decoded, so a multi-gigabyte file answers in
 // O(iterations) time and memory.
-func streamInfo(f *tracestream.File) error {
+func info(f *tracestream.File) error {
 	m := f.Meta()
 	fmt.Printf("format:      chunked stream v2\n")
 	fmt.Printf("workload:    %s\n", m.Name)
@@ -189,46 +164,6 @@ func streamInfo(f *tracestream.File) error {
 		t.AddRow(i, off, size, stores)
 	}
 	t.Render(os.Stdout)
-	return nil
-}
-
-func convert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	var (
-		out    = fs.String("o", "", "output file")
-		format = fs.String("format", "stream", "output encoding: stream (chunked v2) or gob (v1)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" || fs.NArg() != 1 {
-		return fmt.Errorf("convert requires -o and one input trace")
-	}
-	src, closer, err := tracestream.OpenSource(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer closer()
-	m := src.Meta()
-	switch *format {
-	case "stream":
-		// Window-at-a-time re-encode: a v1 input is already in memory, but
-		// a v2 input never is.
-		err = tracestream.WriteFile(*out, src)
-	case "gob":
-		var tr *trace.Trace
-		tr, err = trace.Materialize(src)
-		if err == nil {
-			err = tr.SaveFile(*out)
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (want stream or gob)", *format)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%s): %s, %d GPUs, %d iterations\n",
-		*out, *format, m.Name, m.NumGPUs, m.Iterations)
 	return nil
 }
 
@@ -265,25 +200,6 @@ func synth(args []string) error {
 	return nil
 }
 
-func info(tr *trace.Trace) error {
-	fmt.Printf("workload:    %s\n", tr.Name)
-	fmt.Printf("gpus:        %d\n", tr.NumGPUs)
-	fmt.Printf("iterations:  %d\n", len(tr.Iterations))
-	fmt.Printf("warp stores: %d\n", tr.NumWarpStores())
-	total, useful := tr.CopyBytes()
-	fmt.Printf("copy bytes:  %s total, %s useful (%.0f%%)\n",
-		stats.HumanBytes(uint64(total)), stats.HumanBytes(uint64(useful)),
-		100*stats.Ratio(uint64(useful), uint64(total)))
-
-	t := stats.NewTable("per-GPU breakdown (iteration 0)",
-		"gpu", "compute ops", "warp stores", "copies")
-	for g, w := range tr.Iterations[0].PerGPU {
-		t.AddRow(g, fmt.Sprintf("%.2e", w.ComputeOps), len(w.Stores), len(w.Copies))
-	}
-	t.Render(os.Stdout)
-	return nil
-}
-
 func replay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	par := fs.String("paradigm", "", "paradigm to replay (default: all)")
@@ -299,11 +215,12 @@ func replay(args []string) error {
 	if observing && *par == "" {
 		return fmt.Errorf("-trace-json/-metrics-out record a single run; pick one with -paradigm")
 	}
-	src, closer, err := tracestream.OpenSource(fs.Arg(0))
+	f, err := tracestream.OpenFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer closer()
+	defer f.Close()
+	src := f.Source()
 	m := src.Meta()
 	paradigms := []sim.Paradigm{
 		sim.P2P, sim.DMA, sim.FinePack, sim.WriteCombining,

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	finepack-vet [-list] [-json] [-allowances] [-tags taglist] [packages]
+//	finepack-vet [-list] [-json] [-allowances] [packages]
 //
 // With no packages, ./... is checked. Findings print one per line as
 // file:line:col: message (analyzer). Suppress a deliberate violation with
@@ -26,10 +26,6 @@
 // exits 1 if any directive names an unknown analyzer or carries an empty
 // justification. `make lint` runs this so silencing a finding always costs
 // a written reason.
-//
-// -tags passes a comma-separated build-tag list through to package
-// loading, so tag-gated files (the des_heapq queue selection) are vetted
-// under the same file set they compile with.
 package main
 
 import (
@@ -67,9 +63,8 @@ func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON (including suppressed ones) instead of text")
 	audit := flag.Bool("allowances", false, "audit //finepack:allow directives instead of reporting findings")
-	tags := flag.String("tags", "", "comma-separated build tags for package loading (e.g. des_heapq)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: finepack-vet [-list] [-json] [-allowances] [-tags taglist] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: finepack-vet [-list] [-json] [-allowances] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -88,7 +83,6 @@ func main() {
 	cfg := driver.Config{
 		Patterns:          patterns,
 		Analyzers:         suite.All(),
-		Tags:              *tags,
 		IncludeSuppressed: *jsonOut,
 	}
 	findings, allows, err := driver.Collect(cfg)

@@ -50,11 +50,6 @@ type Config struct {
 	// subset so directives for other analyzers don't read as unknown.
 	KnownNames map[string]bool
 
-	// Tags is a comma-separated build-tag list passed to `go list -tags`,
-	// so tag-gated files (e.g. the des_heapq queue selection) are analyzed
-	// under the same file set they compile with.
-	Tags string
-
 	// IncludeSuppressed keeps findings silenced by justified
 	// //finepack:allow directives in the result, flagged Suppressed=true.
 	// Off, the driver returns only live findings (the historical
@@ -116,7 +111,7 @@ func Collect(cfg Config) ([]analysis.Finding, []analysis.Allow, error) {
 // load lists, parses and type-checks every target package, in the
 // dependency order `go list -deps` emits.
 func load(cfg Config) ([]*analysis.Unit, error) {
-	targets, exports, err := list(cfg.Dir, cfg.Tags, cfg.Patterns)
+	targets, exports, err := list(cfg.Dir, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +154,8 @@ func load(cfg Config) ([]*analysis.Unit, error) {
 // list runs `go list -export -deps -json` and splits the result into target
 // packages (to be analyzed) and an importpath→exportfile map covering every
 // dependency.
-func list(dir, tags string, patterns []string) (targets []listPkg, exports map[string]string, err error) {
-	args := []string{"list", "-export", "-deps", "-json=Dir,ImportPath,Export,GoFiles,DepOnly"}
-	if tags != "" {
-		args = append(args, "-tags="+tags)
-	}
-	args = append(args, patterns...)
+func list(dir string, patterns []string) (targets []listPkg, exports map[string]string, err error) {
+	args := append([]string{"list", "-export", "-deps", "-json=Dir,ImportPath,Export,GoFiles,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

@@ -32,18 +32,18 @@ func scheduleSwing(s *Scheduler, fn func()) {
 // every cycle after the first to allocate nothing: recycled events, and a
 // ring whose storage survives its resizes.
 func TestResizeOscillationAllocFree(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, mk func() *Scheduler) {
-		s := mk()
+	// Named after the calendar queue, the Scheduler's event queue, as the
+	// semantics tests are (see forBothSchedulers).
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
 		nop := func() {}
-		if !s.useHeap {
-			scheduleSwing(s, nop)
-			if n := len(s.cq.buckets); n != swingBuckets {
-				t.Fatalf("ring at %d buckets after the burst, want %d", n, swingBuckets)
-			}
-			s.Run()
-			if n := len(s.cq.buckets); n != calMinBuckets {
-				t.Fatalf("ring at %d buckets after the drain, want %d", n, calMinBuckets)
-			}
+		scheduleSwing(s, nop)
+		if n := len(s.cq.buckets); n != swingBuckets {
+			t.Fatalf("ring at %d buckets after the burst, want %d", n, swingBuckets)
+		}
+		s.Run()
+		if n := len(s.cq.buckets); n != calMinBuckets {
+			t.Fatalf("ring at %d buckets after the drain, want %d", n, calMinBuckets)
 		}
 		allocs := testing.AllocsPerRun(4, func() {
 			scheduleSwing(s, nop)

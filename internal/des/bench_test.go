@@ -28,7 +28,7 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 // TestResizeOscillationAllocFree on the calendar queue: each op grows the
 // ring from 256 to 4096 buckets and shrinks it back.
 func BenchmarkCalendarResizeOscillation(b *testing.B) {
-	s := newSchedulerWith(false)
+	s := NewScheduler()
 	fn := func() {}
 	swing := func() {
 		scheduleSwing(s, fn)

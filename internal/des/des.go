@@ -7,12 +7,10 @@
 // host parallelism for an architectural study, and every run with the same
 // inputs must produce bit-identical statistics.
 //
-// Two event-queue implementations live behind one Scheduler API (see
-// DESIGN.md §12): a calendar queue tuned for the simulator's near-future
-// event distribution (the default), and the original binary heap, kept as
-// the reference oracle and selectable for a whole build with
-// `-tags des_heapq`. Both fire events in exactly the same (At, seq) total
-// order, a property the in-package equivalence tests fuzz continuously.
+// The event queue is a calendar queue tuned for the simulator's
+// near-future event distribution (DESIGN.md §12). Events fire in (At, seq)
+// total order; the in-package equivalence oracle checks that order, and
+// the run loop around it, against a test-only binary-heap scheduler.
 package des
 
 import (
@@ -71,11 +69,10 @@ func DurationForBytes(n uint64, bytesPerSecond float64) Time {
 	return Time(math.Ceil(ps))
 }
 
-// Event state markers carried in event.idx. Non-negative values are heap
-// positions (heap implementation only); the calendar queue never tracks
-// positions, so its queued events carry idxQueued. A pooled event keeps
-// the marker it died with (idxFired or idxCancelled), so a handle that
-// still matches its seq cancels nothing.
+// Event state markers carried in event.idx. The calendar queue never
+// tracks positions, so a queued event carries idxQueued. A pooled event
+// keeps the marker it died with (idxFired or idxCancelled), so a handle
+// that still matches its seq cancels nothing.
 const (
 	idxFired     = -1 // popped and fired (or currently firing)
 	idxCancelled = -2 // cancelled before firing
@@ -91,7 +88,7 @@ type event struct {
 	at   Time
 	fn   func()
 	seq  uint64
-	idx  int    // heap index, or one of the idx* state markers
+	idx  int    // one of the idx* state markers
 	next *event // free-list link while pooled
 }
 
@@ -135,13 +132,7 @@ type Scheduler struct {
 	probe  Probe
 	pool   eventPool
 
-	// Queue implementation. useHeap selects the reference binary heap
-	// (build tag des_heapq, or newHeapScheduler in tests); the default is
-	// the calendar queue. One predictable branch per queue operation is
-	// far cheaper than an interface call on the hot path.
-	useHeap bool
-	hq      eventHeap
-	cq      calendarQueue
+	cq calendarQueue
 
 	// Firing cohort: popCohort moves every event sharing the minimum
 	// timestamp out of the queue in one batch, and the run loop fires
@@ -188,19 +179,8 @@ func (p *eventPool) put(e *event) {
 
 // NewScheduler returns a scheduler at time zero.
 func NewScheduler() *Scheduler {
-	return newSchedulerWith(defaultUseHeap)
-}
-
-// newSchedulerWith builds a scheduler on an explicit queue implementation;
-// the equivalence oracle drives a heap and a calendar scheduler in
-// lockstep regardless of build tags.
-func newSchedulerWith(useHeap bool) *Scheduler {
-	s := &Scheduler{useHeap: useHeap}
-	if useHeap {
-		s.hq = make(eventHeap, 0, 1024)
-	} else {
-		s.cq.init(&s.pool)
-	}
+	s := &Scheduler{}
+	s.cq.init(&s.pool)
 	return s
 }
 
@@ -215,12 +195,7 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued (staged cohort
 // leftovers from a halted run included: they have not fired).
-func (s *Scheduler) Pending() int {
-	if s.useHeap {
-		return len(s.hq) + s.stagedLive
-	}
-	return s.cq.live + s.stagedLive
-}
+func (s *Scheduler) Pending() int { return s.cq.live + s.stagedLive }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // always indicates a model bug and silently clamping would hide it.
@@ -233,11 +208,7 @@ func (s *Scheduler) At(t Time, fn func()) Handle {
 	e := s.pool.get()
 	e.at, e.fn, e.seq = t, fn, s.seq
 	s.seq++
-	if s.useHeap {
-		s.hq.push(e)
-	} else {
-		s.cq.push(e)
-	}
+	s.cq.push(e)
 	return Handle{e, e.seq}
 }
 
@@ -248,24 +219,19 @@ func (s *Scheduler) After(delay Time, fn func()) Handle {
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event, through a stale handle, or through the zero
-// Handle is a no-op. The calendar queue cancels lazily (the event becomes
-// a tombstone dropped, and recycled, at pop time); either way the
-// callback is released immediately so a cancelled event never pins its
-// captures. A staged cohort sibling — popped in the same same-timestamp
-// batch but not yet fired — is cancelled too: batch popping must not make
-// cancellation able to miss.
+// Handle is a no-op. The queue cancels lazily (the event becomes a
+// tombstone dropped, and recycled, at pop time), but the callback is
+// released immediately so a cancelled event never pins its captures. A
+// staged cohort sibling — popped in the same same-timestamp batch but not
+// yet fired — is cancelled too: batch popping must not make cancellation
+// able to miss.
 func (s *Scheduler) Cancel(h Handle) {
 	e := h.e
 	if e == nil || e.seq != h.seq {
 		return // zero handle, or the event was recycled
 	}
 	switch {
-	case e.idx >= 0: // queued in the heap: removed, so recycled now
-		s.hq.remove(e.idx)
-		e.idx = idxCancelled
-		e.fn = nil
-		s.pool.put(e)
-	case e.idx == idxQueued: // queued in the calendar: tombstone
+	case e.idx == idxQueued: // queued: tombstone
 		e.idx = idxCancelled
 		e.fn = nil
 		s.cq.live--
@@ -306,32 +272,21 @@ func (s *Scheduler) RunBudget(maxEvents uint64) (Time, error) {
 }
 
 // peek returns the earliest live queued event without popping, or nil.
-func (s *Scheduler) peek() *event {
-	if s.useHeap {
-		return s.hq.peek()
-	}
-	return s.cq.peek()
-}
+func (s *Scheduler) peek() *event { return s.cq.peek() }
 
 // popCohort moves every queued event sharing the minimum timestamp into
-// s.cohort in seq order and marks them staged. The heap pays one sift per
-// event (it is the reference implementation); the calendar slices the
+// s.cohort in seq order and marks them staged: the calendar slices the
 // cohort off the head of one bucket.
 func (s *Scheduler) popCohort() {
-	s.cohort = s.cohort[:0]
+	s.cohort = s.cq.popCohort(s.cohort[:0])
 	s.cohortPos = 0
-	if s.useHeap {
-		s.cohort = s.hq.popCohort(s.cohort)
-	} else {
-		s.cohort = s.cq.popCohort(s.cohort)
-	}
 	s.stagedLive += len(s.cohort)
 }
 
 // run is the shared engine behind Run/RunUntil/RunBudget: pop a cohort of
 // same-timestamp events in one batch, then fire them one at a time with
-// per-event deadline, budget, and halt checks, exactly as the original
-// pop-one-fire-one heap loop behaved.
+// per-event deadline, budget, and halt checks, exactly as a plain
+// pop-one-fire-one loop behaves (the equivalence oracle's reference).
 //
 //finepack:hotpath the DES event loop fires every simulated event
 func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
@@ -344,9 +299,11 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 	start := s.fired
 	var err error
 	for !s.halted {
-		// Next staged event: usually the cohort popped below; after a
-		// Halt or budget stop, the leftovers of an interrupted cohort,
-		// drained before the queue is consulted again.
+		// Next event: a staged one, usually from the cohort popped below;
+		// after a Halt or budget stop, the leftovers of an interrupted
+		// cohort, drained before the queue is consulted again. With the
+		// cohort spent, the queue's head stands in for the checks, so a
+		// stopped run never leaves a cohort staged ahead of the clock.
 		var next *event
 		for s.cohortPos < len(s.cohort) {
 			e := s.cohort[s.cohortPos]
@@ -359,22 +316,23 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 			break
 		}
 		if next == nil {
-			head := s.peek()
-			if head == nil || head.at > deadline {
+			if next = s.peek(); next == nil {
 				break
 			}
-			s.popCohort()
-			continue
 		}
 		if next.at > deadline {
-			// Leftover cohort from an earlier halted run, past this
-			// call's horizon: leave it staged.
+			// Past this call's horizon: a queued event stays queued, a
+			// leftover cohort stays staged.
 			break
 		}
 		if budget > 0 && s.fired-start >= budget {
 			err = fmt.Errorf("des: event budget of %d exceeded at %v (pending=%d)", //finepack:allow hotalloc -- budget exhaustion ends the run; formatting here is terminal
 				budget, s.now, s.Pending())
 			break
+		}
+		if next.idx == idxQueued {
+			s.popCohort()
+			continue
 		}
 		s.cohortPos++
 		s.stagedLive--

@@ -481,3 +481,41 @@ func TestWaitQueuesReuseStorageUnderBacklog(t *testing.T) {
 		check(t, served, maxCap)
 	})
 }
+
+// TestStaleHandleCancelIsNoOp pins the handle contract: once an event's
+// slot is recycled for a new event, cancelling through the old handle
+// must leave the new event alone. Both ways an event dies are covered: it
+// fires, or it is cancelled and its queue drops it.
+func TestStaleHandleCancelIsNoOp(t *testing.T) {
+	// Named after the calendar queue, the Scheduler's event queue, as the
+	// semantics tests are (see forBothSchedulers).
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		nop := func() {}
+		firedOld := s.At(10, nop)
+		cancelledOld := s.At(20, func() { t.Error("cancelled event fired") })
+		s.At(30, nop) // the calendar drops the tombstone on its way here
+		s.Cancel(cancelledOld)
+		s.Run()
+
+		// All three events are back in the pool: three new ones reuse them.
+		n := 0
+		reused := map[*event]bool{}
+		for i := 0; i < 3; i++ {
+			reused[s.At(40, func() { n++ }).e] = true
+		}
+		for _, old := range []Handle{firedOld, cancelledOld} {
+			if !reused[old.e] {
+				t.Fatal("a dead event's slot was not reused")
+			}
+			s.Cancel(old)
+		}
+		if s.Pending() != 3 {
+			t.Fatalf("Pending = %d after stale cancels, want 3", s.Pending())
+		}
+		s.Run()
+		if n != 3 {
+			t.Fatalf("%d of the 3 new events fired", n)
+		}
+	})
+}

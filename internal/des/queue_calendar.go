@@ -2,12 +2,12 @@ package des
 
 import "math/bits"
 
-// calendarQueue is the default event queue: a calendar of fixed-width time
+// calendarQueue is the scheduler's event queue: a calendar of fixed-width time
 // buckets with O(1) enqueue and dequeue for near-future events, which is
 // almost every event this simulator fires (link serialization at ps
 // granularity, credit grants, hop delays, zero-delay continuations). The
-// design, and the argument for why it fires in exactly the heap's
-// (At, seq) order, is documented in DESIGN.md §12. In brief:
+// design, and the argument for why it fires in exact (At, seq) order, is
+// documented in DESIGN.md §12. In brief:
 //
 //   - Each bucket covers one calWidth-picosecond window and holds its
 //     events as a slice sorted by (At, seq) with a consumed-prefix head
@@ -21,9 +21,8 @@ import "math/bits"
 //     cursor approaches — the scan never advances past an overflow event,
 //     so bucket order and overflow order merge exactly.
 //   - Cancellation is lazy: a cancelled event becomes a tombstone dropped
-//     when its bucket position is reached (the heap's eager Remove is the
-//     behavior being replaced; both agree on every observable). Every
-//     drop point hands the tombstone back to the event pool.
+//     when its bucket position is reached. Every drop point hands the
+//     tombstone back to the event pool.
 //   - The ring resizes lazily as event density shifts: it doubles when
 //     live events exceed calGrowFactor× the bucket count and halves when
 //     they fall below a quarter of it, rebuilding in O(live + buckets).
@@ -363,8 +362,8 @@ func (q *calendarQueue) resize(n int) {
 }
 
 // overflowHeap is a plain (At, seq)-ordered min-heap for events beyond the
-// ring horizon. Unlike the main eventHeap it tracks no positions: the
-// calendar cancels lazily, so removal never needs an index.
+// ring horizon. It tracks no positions: the calendar cancels lazily, so
+// removal never needs an index.
 type overflowHeap struct {
 	ev []*event
 }

@@ -16,7 +16,7 @@ import (
 // iteration chunk.
 type TraceInfo struct {
 	ID         string  `json:"id"`
-	Format     int     `json:"format"` // 1 = gob, 2 = chunked stream
+	Format     int     `json:"format"` // always 2: the chunked v2 stream
 	Name       string  `json:"name"`
 	GPUs       int     `json:"gpus"`
 	Iterations int     `json:"iterations"`
@@ -26,11 +26,9 @@ type TraceInfo struct {
 }
 
 // TraceRegistry validates, stores, and opens uploaded traces over a
-// content-addressed blob store. Uploads are accepted in either trace
-// format — the chunked v2 stream (validated from header/index/checksums,
-// then spot-opened) or the v1 gob encoding (fully loaded under
-// trace.Load's bounds) — and replayed through the format-appropriate
-// source at job time.
+// content-addressed blob store. Uploads are chunked v2 streams, validated
+// from header, index and checksums and then decoded window by window once,
+// and replayed straight off the blob at job time.
 type TraceRegistry struct {
 	blobs *store.BlobStore
 }
@@ -44,103 +42,64 @@ func NewTraceRegistry(b *store.BlobStore) *TraceRegistry {
 func (t *TraceRegistry) MaxUploadBytes() int64 { return t.blobs.MaxBytes() }
 
 // Add validates an uploaded trace and stores it, returning its info.
-// created is false when the identical bytes were already stored.
+// created is false when the identical bytes were already stored. Every
+// iteration window is decoded once here, so a job can never trip over a
+// chunk that passed its CRC but fails validation.
 func (t *TraceRegistry) Add(b []byte) (TraceInfo, bool, error) {
-	info, err := describeTrace(b)
+	r, err := tracestream.NewReader(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
-		return TraceInfo{}, false, err
+		return TraceInfo{}, false, fmt.Errorf("serve: %w", err)
+	}
+	if err := drain(r.Source()); err != nil {
+		return TraceInfo{}, false, fmt.Errorf("serve: trace stream invalid: %w", err)
 	}
 	id, created, err := t.blobs.Put(b)
 	if err != nil {
 		return TraceInfo{}, false, err
 	}
-	info.ID = id
-	return info, created, nil
+	return describe(id, r), created, nil
 }
 
-// describeTrace validates trace bytes in either format and summarizes
-// them.
-func describeTrace(b []byte) (TraceInfo, error) {
-	info := TraceInfo{Bytes: int64(len(b))}
-	r, err := tracestream.NewReader(bytes.NewReader(b), int64(len(b)))
-	if err == nil {
-		// v2: the framing is verified; decode every window once so a job
-		// can never trip over a chunk that passed CRC but fails
-		// validation.
-		if _, err := drain(r.Source()); err != nil {
-			return info, fmt.Errorf("serve: trace stream invalid: %w", err)
-		}
-		m := r.Meta()
-		info.Format = 2
-		info.Name = m.Name
-		info.GPUs = m.NumGPUs
-		info.Iterations = m.Iterations
-		info.WarpStores = r.NumWarpStores()
-		info.SingleOps = m.SingleGPUOpsPerIter
-		return info, nil
+// describe summarizes an opened stream from its header and index.
+func describe(id string, r *tracestream.Reader) TraceInfo {
+	m := r.Meta()
+	return TraceInfo{
+		ID:         id,
+		Format:     2,
+		Name:       m.Name,
+		GPUs:       m.NumGPUs,
+		Iterations: m.Iterations,
+		WarpStores: r.NumWarpStores(),
+		Bytes:      r.Size(),
+		SingleOps:  m.SingleGPUOpsPerIter,
 	}
-	if !isNotStream(err) {
-		return info, fmt.Errorf("serve: %w", err)
-	}
-	tr, err := trace.Load(bytes.NewReader(b))
-	if err != nil {
-		return info, fmt.Errorf("serve: not a v2 stream and not a v1 trace: %w", err)
-	}
-	info.Format = 1
-	info.Name = tr.Name
-	info.GPUs = tr.NumGPUs
-	info.Iterations = len(tr.Iterations)
-	info.WarpStores = tr.NumWarpStores()
-	info.SingleOps = tr.SingleGPUOpsPerIter
-	return info, nil
 }
 
 // drain pulls every window out of a source, surfacing the first error.
-func drain(src trace.IterationSource) (int, error) {
-	n := 0
+func drain(src trace.IterationSource) error {
 	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			return n, nil
+		if _, err := src.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
 		}
-		if err != nil {
-			return n, err
-		}
-		n++
 	}
 }
 
-func isNotStream(err error) bool {
-	for e := err; e != nil; {
-		if e == tracestream.ErrNotStream {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
-}
-
-// Info summarizes a stored trace by ID.
+// Info summarizes a stored trace by ID from the blob's header and seek
+// index alone: no iteration chunk is read, so a metadata request costs
+// O(iterations), not the blob's size.
 func (t *TraceRegistry) Info(id string) (TraceInfo, error) {
 	r, size, close, err := t.blobs.Open(id)
 	if err != nil {
 		return TraceInfo{}, err
 	}
 	defer close()
-	b := make([]byte, size)
-	if _, err := r.ReadAt(b, 0); err != nil {
-		return TraceInfo{}, err
-	}
-	info, err := describeTrace(b)
+	sr, err := tracestream.NewReader(r, size)
 	if err != nil {
-		return TraceInfo{}, err
+		return TraceInfo{}, fmt.Errorf("serve: trace %s: %w", id, err)
 	}
-	info.ID = id
-	return info, nil
+	return describe(id, sr), nil
 }
 
 // Has reports whether a trace blob exists.
@@ -149,28 +108,21 @@ func (t *TraceRegistry) Has(id string) bool { return t.blobs.Has(id) }
 // IDs lists stored trace IDs.
 func (t *TraceRegistry) IDs() ([]string, error) { return t.blobs.IDs() }
 
-// OpenTrace implements TraceOpener: a v2 blob streams (dir-backed blobs
-// straight off disk), a v1 blob loads and adapts.
+// OpenTrace implements TraceOpener: the blob streams window by window
+// (dir-backed blobs straight off disk). A blob that is not a v2 stream —
+// say one stored when the retired v1 encoding was still accepted — fails
+// here with ErrNotStream, which names the format.
 func (t *TraceRegistry) OpenTrace(id string) (trace.IterationSource, func() error, error) {
 	r, size, close, err := t.blobs.Open(id)
 	if err != nil {
 		return nil, nil, err
 	}
 	sr, err := tracestream.NewReader(r, size)
-	if err == nil {
-		return sr.Source(), close, nil
-	}
-	if !isNotStream(err) {
-		close()
-		return nil, nil, err
-	}
-	tr, err := trace.Load(io.NewSectionReader(r, 0, size))
 	if err != nil {
 		close()
 		return nil, nil, fmt.Errorf("serve: trace %s: %w", id, err)
 	}
-	close()
-	return trace.NewSliceSource(tr), func() error { return nil }, nil
+	return sr.Source(), close, nil
 }
 
 // SetTraces installs the trace upload registry; nil (the default)

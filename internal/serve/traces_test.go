@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,19 +31,10 @@ func tinyTraceV2(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// tinyTraceV1 renders the same workload in the v1 gob encoding.
-func tinyTraceV1(t *testing.T) []byte {
-	t.Helper()
-	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Scale: 0.05, Iterations: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// v1GobPrefix is the first 96 bytes of a trace in the retired v1 encoding
+// (a gob stream: the "finepack-trace-v1" tag, then the Trace type), as
+// an older daemon accepted and stored it.
+const v1GobPrefix = "\x14\f\x00\x11finepack-trace-v1O\x7f\x03\x01\x01\x05Trace\x01\xff\x80\x00\x01\x04\x01\x04Name\x01\f\x00\x01\aNumGPUs\x01\x04\x00\x01\x13SingleGPUOpsPerIter\x01\b\x00\x01\nIterations\x01"
 
 func tinySynth() *tracestream.Profile {
 	return &tracestream.Profile{
@@ -129,55 +123,150 @@ func TestTraceSpecIDStability(t *testing.T) {
 	}
 }
 
-// TestTraceRegistryFormats: both encodings validate, dedupe, describe,
-// and open.
+// TestTraceRegistryFormats: a v2 stream validates, dedupes, describes,
+// and opens; anything else, the retired v1 encoding included, is
+// rejected at upload.
 func TestTraceRegistryFormats(t *testing.T) {
 	reg := newTraceRegistry(t, "")
-	for _, tc := range []struct {
-		name   string
-		bytes  []byte
-		format int
-	}{
-		{"v2", tinyTraceV2(t), 2},
-		{"v1", tinyTraceV1(t), 1},
-	} {
-		info, created, err := reg.Add(tc.bytes)
-		if err != nil {
-			t.Fatalf("%s: Add: %v", tc.name, err)
-		}
-		if !created {
-			t.Fatalf("%s: expected fresh blob", tc.name)
-		}
-		if info.Format != tc.format || info.Name != "jacobi" || info.GPUs != 2 || info.Iterations != 1 {
-			t.Fatalf("%s: info = %+v", tc.name, info)
-		}
-		if _, again, _ := reg.Add(tc.bytes); again {
-			t.Fatalf("%s: re-upload did not dedupe", tc.name)
-		}
-		src, closer, err := reg.OpenTrace(info.ID)
-		if err != nil {
-			t.Fatalf("%s: OpenTrace: %v", tc.name, err)
-		}
-		out, err := trace.Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: Materialize: %v", tc.name, err)
-		}
-		if err := closer(); err != nil {
-			t.Fatalf("%s: close: %v", tc.name, err)
-		}
-		if out.Name != "jacobi" || len(out.Iterations) != 1 {
-			t.Fatalf("%s: replayed trace = %s/%d iters", tc.name, out.Name, len(out.Iterations))
-		}
+	b := tinyTraceV2(t)
+	info, created, err := reg.Add(b)
+	if err != nil {
+		t.Fatalf("Add: %v", err)
 	}
-	if _, _, err := reg.Add([]byte("neither format")); err == nil {
-		t.Fatal("garbage upload accepted")
+	if !created {
+		t.Fatal("expected fresh blob")
+	}
+	if info.Format != 2 || info.Name != "jacobi" || info.GPUs != 2 || info.Iterations != 1 ||
+		info.Bytes != int64(len(b)) || info.ID != store.BlobID(b) {
+		t.Fatalf("info = %+v", info)
+	}
+	if _, again, _ := reg.Add(b); again {
+		t.Fatal("re-upload did not dedupe")
+	}
+	src, closer, err := reg.OpenTrace(info.ID)
+	if err != nil {
+		t.Fatalf("OpenTrace: %v", err)
+	}
+	out, err := trace.Materialize(src)
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	if err := closer(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if out.Name != "jacobi" || len(out.Iterations) != 1 {
+		t.Fatalf("replayed trace = %s/%d iters", out.Name, len(out.Iterations))
+	}
+	for name, bad := range map[string][]byte{
+		"garbage": []byte("neither format"),
+		"v1-gob":  []byte(v1GobPrefix),
+	} {
+		if _, _, err := reg.Add(bad); !errors.Is(err, tracestream.ErrNotStream) {
+			t.Fatalf("%s upload: err = %v, want ErrNotStream", name, err)
+		}
 	}
 	// Corrupt v2 body: framing-valid prefix damage must be rejected at
 	// upload, not at job time.
-	b := tinyTraceV2(t)
+	b = tinyTraceV2(t)
 	b[len(b)/2] ^= 0xFF
 	if _, _, err := reg.Add(b); err == nil {
 		t.Fatal("corrupted stream accepted")
+	}
+}
+
+// TestTraceInfoReadsHeaderAndIndexOnly: on a directory-backed store, Info
+// answers exactly what Add returned, from the header and seek index alone
+// — it still does after an iteration chunk of the blob is damaged on disk,
+// which a job, decoding that chunk, does catch.
+func TestTraceInfoReadsHeaderAndIndexOnly(t *testing.T) {
+	dir := t.TempDir()
+	reg := newTraceRegistry(t, dir)
+	p := *tinySynth()
+	p.Iterations = 3
+	src, err := tracestream.NewSynthSource(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tracestream.CopySource(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	info, _, err := reg.Add(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reg.Info(info.ID); err != nil || got != info {
+		t.Fatalf("Info = %+v, %v; Add returned %+v", got, err, info)
+	}
+
+	// Flip one byte in the middle iteration chunk's body.
+	r, err := tracestream.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, size, _ := r.IterInfo(1)
+	path := filepath.Join(dir, info.ID)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[off+size/2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reg.Info(info.ID); err != nil || got != info {
+		t.Fatalf("Info after chunk damage = %+v, %v; want %+v", got, err, info)
+	}
+	jobSrc, closer, err := reg.OpenTrace(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer()
+	if _, err := trace.Materialize(jobSrc); !errors.Is(err, tracestream.ErrCorrupt) {
+		t.Fatalf("replaying the damaged blob: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStoredNonStreamBlobFailsCleanly: a blob that is not a v2 stream,
+// such as a v1 trace an older daemon stored in the same data directory,
+// yields an Info error and a failed job whose error names the v2 format.
+func TestStoredNonStreamBlobFailsCleanly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine-backed e2e skipped in -short mode")
+	}
+	dir := t.TempDir()
+	url, reg := newTraceTestServer(t, dir)
+	id, _, err := reg.blobs.Put([]byte(v1GobPrefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Info(id); !errors.Is(err, tracestream.ErrNotStream) {
+		t.Fatalf("Info on a v1 blob: err = %v, want ErrNotStream", err)
+	}
+
+	resp, st := postJob(t, url, JobSpec{TraceID: id})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	if stages := followSSE(t, url, st.ID); stages[len(stages)-1] != StateFailed {
+		t.Fatalf("v1-blob job stages = %v, want a failed job", stages)
+	}
+	code, body := getBody(t, url+"/v1/jobs/"+st.ID)
+	var got jobStatus
+	if err := json.Unmarshal(body, &got); err != nil || code != http.StatusOK {
+		t.Fatalf("job status %d: %s", code, body)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "v2") {
+		t.Fatalf("job status = %+v, want failed naming the v2 format", got)
+	}
+
+	resp, err = http.Post(url+"/v1/traces", "application/octet-stream", strings.NewReader(v1GobPrefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("v1 upload status = %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -1,120 +1,15 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/gob"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 )
 
-// Save writes the trace to w in the binary trace format (gob-encoded with
-// a format tag), used by cmd/finepack-trace for offline inspection.
-func (t *Trace) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(formatTag); err != nil {
-		return fmt.Errorf("trace: encode tag: %w", err)
-	}
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("trace: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// MaxLoadBytes bounds the gob input Load will consume. Combined with
-// gob's own chunked (input-length-checked) slice allocation, this caps
-// decode memory at O(MaxLoadBytes) whatever counts a hostile stream
-// declares; traces past this size belong in the chunked v2 format
-// (internal/tracestream), which streams in O(window).
-const MaxLoadBytes = 1 << 30
-
-// MaxGPUs bounds the system size any loaded trace may declare; counts
-// beyond it are rejected before the per-element validation walk.
-const MaxGPUs = 4096
-
-// MaxLoadIterations bounds the iteration count a loaded v1 trace may
-// declare.
-const MaxLoadIterations = 1 << 26
-
-// Load reads a trace written by Save and validates it. Input is bounded:
-// a stream longer than MaxLoadBytes, or one declaring absurd GPU or
-// iteration counts, is rejected as hostile rather than decoded.
-func Load(r io.Reader) (*Trace, error) {
-	lr := &io.LimitedReader{R: r, N: MaxLoadBytes + 1}
-	dec := gob.NewDecoder(bufio.NewReader(lr))
-	var tag string
-	if err := dec.Decode(&tag); err != nil {
-		return nil, fmt.Errorf("trace: decode tag: %w", err)
-	}
-	if tag != formatTag {
-		return nil, fmt.Errorf("trace: unknown format %q", tag)
-	}
-	var t Trace
-	if err := dec.Decode(&t); err != nil {
-		if lr.N <= 0 {
-			return nil, fmt.Errorf("trace: input exceeds %d-byte decode limit", int64(MaxLoadBytes))
-		}
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	if lr.N <= 0 {
-		return nil, fmt.Errorf("trace: input exceeds %d-byte decode limit", int64(MaxLoadBytes))
-	}
-	if err := t.CheckBounds(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// SaveFile writes the trace to a file path.
-func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := t.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadFile reads a trace from a file path.
-func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-const formatTag = "finepack-trace-v1"
-
 // SaveJSON writes the trace as indented JSON: an interoperability export
-// for non-Go tooling (the gob format remains the compact native one).
+// for non-Go tooling. The native on-disk encoding is the chunked v2
+// stream (internal/tracestream).
 func (t *Trace) SaveJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
-}
-
-// LoadJSON reads a trace written by SaveJSON and validates it, under the
-// same bounds as Load.
-func LoadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(io.LimitReader(r, MaxLoadBytes+1)).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode json: %w", err)
-	}
-	if err := t.CheckBounds(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"path/filepath"
+	"encoding/json"
 	"testing"
 
 	"finepack/internal/gpusim"
@@ -105,101 +105,20 @@ func TestStoreSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := tinyTrace()
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.NumGPUs != tr.NumGPUs ||
-		got.NumWarpStores() != tr.NumWarpStores() {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	gt, gu := got.CopyBytes()
-	wt, wu := tr.CopyBytes()
-	if gt != wt || gu != wu {
-		t.Fatal("copy bytes changed in round trip")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Fatal("garbage should not load")
-	}
-}
-
-func TestLoadRejectsWrongTag(t *testing.T) {
-	var buf bytes.Buffer
-	// Hand-encode a wrong tag.
-	tr := tinyTrace()
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Corrupt the tag bytes (the format string appears early in the gob
-	// stream).
-	idx := bytes.Index(raw, []byte("finepack-trace-v1"))
-	if idx < 0 {
-		t.Skip("tag not found in encoding")
-	}
-	raw[idx] = 'X'
-	if _, err := Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted tag should not load")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.trace")
-	tr := tinyTrace()
-	if err := tr.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "tiny" {
-		t.Fatalf("loaded name %q", got.Name)
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file should error")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	tr := tinyTrace()
 	var buf bytes.Buffer
 	if err := tr.SaveJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSON(&buf)
-	if err != nil {
+	var got Trace
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != tr.Name || got.NumWarpStores() != tr.NumWarpStores() {
-		t.Fatalf("json round trip mismatch: %+v", got)
+		t.Fatalf("json export mismatch: %+v", got)
 	}
-	if _, err := LoadJSON(bytes.NewReader([]byte("{"))); err == nil {
-		t.Fatal("truncated json accepted")
-	}
-	// JSON load validates too.
-	if _, err := LoadJSON(bytes.NewReader([]byte(`{"Name":"x","NumGPUs":0}`))); err == nil {
-		t.Fatal("invalid trace accepted via json")
-	}
-}
-
-func TestLoadValidates(t *testing.T) {
-	tr := tinyTrace()
-	tr.Iterations[0].PerGPU[0].Stores[0].Dst = 0 // self-store
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("Load must validate")
+	if err := got.Validate(); err != nil {
+		t.Fatalf("exported trace does not validate: %v", err)
 	}
 }

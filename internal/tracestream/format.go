@@ -1,9 +1,9 @@
 // Package tracestream implements the chunked binary trace format v2 and
 // the generator-driven trace sources built on it: a compact, seekable,
 // CRC32-checksummed on-disk encoding that reads and writes with O(window)
-// memory, plus Eidola-style statistical trace synthesis. Together they
-// lift the workload-size cap of the fully materialized v1 representation
-// (internal/trace's gob encoding): a billion-store trace streams through
+// memory, plus Eidola-style statistical trace synthesis. It is the only
+// on-disk trace encoding. Together they lift the workload-size cap of a
+// fully materialized trace.Trace: a billion-store trace streams through
 // the simulator one iteration window at a time, and traffic can be
 // *described* by a small JSON profile instead of shipped verbatim.
 //
@@ -66,8 +66,9 @@ var trailerMagic = [4]byte{'F', 'P', 'S', '2'}
 // layers wrap these with context.
 var (
 	// ErrNotStream reports that the input is not a v2 stream at all
-	// (wrong magic/first chunk); callers typically fall back to the v1
-	// gob loader.
+	// (no header chunk at offset 0, or another format version) — for
+	// instance a trace in the retired v1 gob encoding. There is no other
+	// format to fall back to: callers reject the input.
 	ErrNotStream = errors.New("tracestream: not a v2 trace stream")
 	// ErrCorrupt reports a structurally broken file: bad CRC, torn chunk,
 	// truncated trailer, or an impossible field value.

@@ -28,17 +28,17 @@ type Reader struct {
 	index  int64    // offset of the index chunk
 }
 
-// NewReader parses the framing of a v2 stream. It returns ErrNotStream
-// (possibly wrapped) when the input is not a v2 file at all — callers use
-// that to fall back to the v1 gob loader — and ErrCorrupt/ErrTruncated
-// for a v2 file that is damaged.
+// NewReader parses the framing of a v2 stream: the header, the seek index
+// and the trailer, never an iteration chunk. It returns ErrNotStream
+// (possibly wrapped) when the input is not a v2 file at all, and
+// ErrCorrupt/ErrTruncated for a v2 file that is damaged.
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	// Smallest possible file: header chunk (8+2) + index chunk (8+2) + trailer.
 	if size < chunkHeaderLen+2+chunkHeaderLen+2+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes is too small", ErrNotStream, size)
 	}
 	// Header chunk. Framing errors here mean "not v2", not "corrupt v2":
-	// the most likely cause is a v1 gob file.
+	// the most likely cause is a file in another format.
 	var hb [chunkHeaderLen + 1]byte
 	if _, err := r.ReadAt(hb[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: reading first chunk: %v", ErrNotStream, err)
@@ -408,7 +408,7 @@ type File struct {
 }
 
 // OpenFile opens path as a v2 trace stream. ErrNotStream (wrapped) means
-// the file exists but is not v2 — callers fall back to trace.LoadFile.
+// the file exists but is not a v2 stream.
 func OpenFile(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {

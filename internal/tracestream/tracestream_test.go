@@ -126,19 +126,14 @@ func TestIterInfo(t *testing.T) {
 	}
 }
 
-// TestNotStream: v1 gob input and junk must return ErrNotStream, so
-// callers can fall back.
+// v1GobPrefix is the first 96 bytes of a trace in the retired v1 encoding
+// (a gob stream: the "finepack-trace-v1" tag, then the Trace type).
+const v1GobPrefix = "\x14\f\x00\x11finepack-trace-v1O\x7f\x03\x01\x01\x05Trace\x01\xff\x80\x00\x01\x04\x01\x04Name\x01\f\x00\x01\aNumGPUs\x01\x04\x00\x01\x13SingleGPUOpsPerIter\x01\b\x00\x01\nIterations\x01"
+
+// TestNotStream: v1 gob input and junk must return ErrNotStream.
 func TestNotStream(t *testing.T) {
-	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := tr.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
 	for name, b := range map[string][]byte{
-		"v1-gob": v1.Bytes(),
+		"v1-gob": []byte(v1GobPrefix),
 		"junk":   bytes.Repeat([]byte{0xAB}, 256),
 		"empty":  nil,
 	} {
@@ -308,40 +303,6 @@ func TestWriterRejectsInvalid(t *testing.T) {
 	bad := &trace.Iteration{PerGPU: make([]trace.GPUWork, 3)} // wrong GPU count
 	if err := w.WriteIteration(bad); err == nil {
 		t.Fatal("invalid iteration accepted")
-	}
-}
-
-// TestOpenSourceFallback: OpenSource must stream v2 files and fall back
-// to v1 gob files transparently.
-func TestOpenSourceFallback(t *testing.T) {
-	tr, err := workloads.NewJacobi().Generate(2, workloads.Params{Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v1 := dir + "/t.v1"
-	if err := tr.SaveFile(v1); err != nil {
-		t.Fatal(err)
-	}
-	v2 := dir + "/t.v2"
-	if err := WriteFile(v2, trace.NewSliceSource(tr)); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{v1, v2} {
-		src, closer, err := OpenSource(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		got, err := trace.Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if err := closer(); err != nil {
-			t.Fatalf("%s: close: %v", path, err)
-		}
-		if !reflect.DeepEqual(tr, got) {
-			t.Fatalf("%s: differs from original", path)
-		}
 	}
 }
 
