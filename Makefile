@@ -132,7 +132,7 @@ bench-smoke:
 # it is exact and machine-independent, where one iteration's ns/op on a
 # shared CI runner is noise. The default -alloc-slack absorbs warmup-only
 # allocations that a single iteration cannot amortize away (the scheduler's
-# first event-slab carve, first-touch bucket growth). The gates cover the
+# first event-slab carve, the calendar ring's first growth). The gates cover the
 # DES kernel (SchedulerEvents), the analytic goodput model (Fig2Goodput),
 # and the end-to-end hot paths hotalloc polices statically (EndToEndSSSP,
 # Fig9Speedup, and the multi-hop store-and-forward path, MultiHopAllReduce),
@@ -141,8 +141,9 @@ bench-smoke:
 # StreamedSSSP the streamed-trace path, WorkloadGenerate the in-place CSR
 # graph build, and NetworkSendBurstFlat4/Pod4x8 the pooled transfer
 # pipeline (one allocation per message in flight). The baseline is the
-# snapshot taken after plain packets moved onto per-producer slabs.
-BENCH_BASELINE := BENCH_2026-10-17-slab.json
+# snapshot taken after calendar buckets became lists linked through their
+# events and each GPU's stores moved onto one pre-bound emitter.
+BENCH_BASELINE := BENCH_2026-10-18-linked.json
 comma := ,
 BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate,BenchmarkNetworkSendBurstFlat4,BenchmarkNetworkSendBurstPod4x8
 bench-compare:

@@ -30,6 +30,7 @@ type WriteCombiner struct {
 	tlp     core.Config
 	entries int
 	parts   map[int]*wcPartition
+	lines   map[wcKey]*wcLine // every partition's buffered lines
 	emit    func(*core.Packet)
 	stats   WCStats
 	slab    core.PacketSlab // emitted packets and their bytes
@@ -38,9 +39,16 @@ type WriteCombiner struct {
 	FullLine bool
 }
 
+// wcPartition is one destination's share of the buffer: the line
+// addresses it holds, in arrival order.
 type wcPartition struct {
-	lines map[uint64]*wcLine
 	order []uint64
+}
+
+// wcKey names one destination's buffered line.
+type wcKey struct {
+	dst  int
+	line uint64
 }
 
 type wcLine struct {
@@ -78,6 +86,7 @@ func NewWriteCombiner(cfg core.Config, emit func(*core.Packet)) (*WriteCombiner,
 		tlp:     cfg,
 		entries: cfg.QueueEntries,
 		parts:   make(map[int]*wcPartition),
+		lines:   make(map[wcKey]*wcLine),
 		emit:    emit,
 	}, nil
 }
@@ -91,13 +100,13 @@ func (w *WriteCombiner) Write(s core.Store) error {
 		return err
 	}
 	if s.Size > core.CacheLineBytes {
-		return fmt.Errorf("baseline: store of %dB exceeds one cache line", s.Size)
+		return &lineSizeError{size: s.Size}
 	}
 	w.stats.StoresIn++
 	w.stats.BytesIn += uint64(s.Size)
 	p, ok := w.parts[s.Dst]
 	if !ok {
-		p = &wcPartition{lines: make(map[uint64]*wcLine)}
+		p = &wcPartition{}
 		w.parts[s.Dst] = p
 	}
 	remaining := s.Size
@@ -110,13 +119,14 @@ func (w *WriteCombiner) Write(s core.Store) error {
 		if n > remaining {
 			n = remaining
 		}
-		l, ok := p.lines[la]
+		k := wcKey{s.Dst, la}
+		l, ok := w.lines[k]
 		if !ok {
-			if len(p.lines) >= w.entries {
+			if len(p.order) >= w.entries {
 				w.flushPartition(s.Dst, p)
 			}
 			l = &wcLine{}
-			p.lines[la] = l
+			w.lines[k] = l
 			p.order = append(p.order, la)
 		}
 		seg := core.MaskForRange(from, from+n)
@@ -130,6 +140,16 @@ func (w *WriteCombiner) Write(s core.Store) error {
 		remaining -= n
 	}
 	return nil
+}
+
+// lineSizeError reports a store wider than one cache line, which the L1
+// would have split. It formats its message only when read.
+type lineSizeError struct {
+	size int
+}
+
+func (e *lineSizeError) Error() string {
+	return fmt.Sprintf("baseline: store of %dB exceeds one cache line", e.size)
 }
 
 // FlushAll drains every destination (the release-operation path).
@@ -148,10 +168,9 @@ func (w *WriteCombiner) FlushAll() {
 // enabled-byte run, or one full line per entry in FullLine mode.
 func (w *WriteCombiner) flushPartition(dst int, p *wcPartition) {
 	for _, la := range p.order {
-		l, ok := p.lines[la]
-		if !ok {
-			continue
-		}
+		k := wcKey{dst, la}
+		l := w.lines[k]
+		delete(w.lines, k)
 		w.stats.EnabledBytes += uint64(l.mask.Count())
 		if w.FullLine {
 			data := w.slab.Bytes(core.CacheLineBytes)
@@ -166,7 +185,6 @@ func (w *WriteCombiner) flushPartition(dst int, p *wcPartition) {
 		}
 	}
 	p.order = p.order[:0]
-	clear(p.lines)
 }
 
 func (w *WriteCombiner) emitPlain(dst int, addr uint64, data []byte) {

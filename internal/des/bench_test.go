@@ -24,14 +24,25 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkCalendarResizeOscillation runs the swing of
+// BenchmarkCalendarResizeOscillation runs the sparse swing of
 // TestResizeOscillationAllocFree on the calendar queue: each op grows the
 // ring from 256 to 4096 buckets and shrinks it back.
 func BenchmarkCalendarResizeOscillation(b *testing.B) {
+	benchmarkSwing(b, 2)
+}
+
+// BenchmarkCalendarBurstSwing runs the burst swing of
+// TestResizeOscillationAllocFree: the same ring swing with 64 events in
+// each bucket window.
+func BenchmarkCalendarBurstSwing(b *testing.B) {
+	benchmarkSwing(b, 16)
+}
+
+func benchmarkSwing(b *testing.B, perStamp int) {
 	s := NewScheduler()
 	fn := func() {}
 	swing := func() {
-		scheduleSwing(s, fn)
+		scheduleSwing(s, fn, perStamp)
 		s.Run()
 	}
 	swing() // warm-up: the first swing grows the pool and the ring

@@ -89,7 +89,8 @@ type event struct {
 	fn   func()
 	seq  uint64
 	idx  int    // one of the idx* state markers
-	next *event // free-list link while pooled
+	next *event // bucket link while queued, free-list link while pooled
+	prev *event // bucket link while queued
 }
 
 // before reports whether e precedes o in the (at, seq) total firing order.

@@ -144,8 +144,8 @@ type fireRec struct {
 // same-timestamp cohorts, zero-delay continuations, far-future events
 // (calendar overflow + window migration), cursor rewinds (short delays
 // scheduled from far-future callbacks), cancellation of queued / staged /
-// fired events, Halt from inside cohorts, RunUntil horizons, and RunBudget
-// stops. All randomness flows through one RNG consumed in firing order, so
+// fired events, Halt from inside cohorts, RunUntil horizons, RunBudget
+// stops, and same-window bursts (see burst below). All randomness flows through one RNG consumed in firing order, so
 // the two schedulers receive identical programs exactly as long as their
 // firing orders are identical — any divergence amplifies immediately.
 //
@@ -155,7 +155,7 @@ type fireRec struct {
 // cancelled first, exactly once by the end. A violation is returned as an
 // error.
 func oracleScript(s oracleScheduler, seed int64) ([]fireRec, error) {
-	const maxEvents = 4000
+	const maxEvents = 8000
 	rng := rand.New(rand.NewSource(seed))
 	var trace []fireRec
 	var created []func()
@@ -221,6 +221,30 @@ func oracleScript(s oracleScheduler, seed int64) ([]fireRec, error) {
 		created = append(created, s.schedule(at, func() { body(id) }))
 	}
 
+	// burst schedules a family of up to 1500 events in descending
+	// timestamps a few ps apart, so dozens share each bucket window and
+	// every insert walks back past the bucket's tail; a family of more
+	// than 1024 grows the ring. It then cancels none, a scattered quarter,
+	// or all but the first and last of them: tombstones in the middle of
+	// bucket lists, and in the last case few enough live events that the
+	// next pop forces a shrink through a ring full of tombstones.
+	burst := func() {
+		n := 16 + rng.Intn(1500)
+		step := Time(rng.Intn(24))
+		base := s.Now() + Time(rng.Intn(200_000))
+		first := nextID
+		for i := n - 1; i >= 0 && nextID < maxEvents; i-- {
+			schedule(base + Time(i)*step)
+		}
+		mode := rng.Intn(3)
+		for id := first + 1; id < nextID-1; id++ {
+			if mode == 2 || (mode == 1 && rng.Intn(4) == 0) {
+				created[id]()
+				cancelled[id] = true
+			}
+		}
+	}
+
 	checkpoint := func(phase int, err error) {
 		trace = append(trace, fireRec{-1 - phase, s.Now(), s.Fired(), s.Pending(), err != nil})
 	}
@@ -228,6 +252,9 @@ func oracleScript(s oracleScheduler, seed int64) ([]fireRec, error) {
 	for phase := 0; phase < 4; phase++ {
 		for i, n := 0, 20+rng.Intn(40); i < n && nextID < maxEvents; i++ {
 			schedule(s.Now() + randDelay())
+		}
+		if rng.Intn(2) == 0 {
+			burst()
 		}
 		var err error
 		switch phase % 3 {
@@ -447,6 +474,25 @@ func TestBudgetStopLeavesClockOrder(t *testing.T) {
 	})
 }
 
+// TestOverflowTieKeepsSeqOrder: an event parked in the overflow heap and
+// a later-scheduled event at the same instant, placed straight into the
+// bucket once the instant came within the ring's horizon, meet when the
+// overflow event migrates into that bucket. The earlier-scheduled one
+// must still fire first: the sorted insert breaks the timestamp tie by
+// seq, not by arrival in the bucket.
+func TestOverflowTieKeepsSeqOrder(t *testing.T) {
+	forBothSchedulers(t, func(t *testing.T, s oracleScheduler) {
+		const at = Millisecond // far beyond the 256-bucket horizon
+		var order []string
+		s.schedule(at, func() { order = append(order, "a") })
+		s.schedule(at-100*Nanosecond, func() {
+			s.schedule(at, func() { order = append(order, "b") })
+		})
+		s.Run()
+		wantOrder(t, order, []string{"a", "b"})
+	})
+}
+
 // TestCalendarFarFutureAndRewind exercises the calendar-specific machinery
 // directly (overflow residency, window migration, cursor rewind after a
 // short delay is scheduled from a far-future callback) and cross-checks
@@ -478,6 +524,35 @@ func TestCalendarFarFutureAndRewind(t *testing.T) {
 			t.Fatalf("order diverges at %d: %v vs %v", i, h[i], c[i])
 		}
 	}
+}
+
+// TestCalendarLaterRevolutionJump parks the calendar's cursor a thousand
+// windows ahead of the clock (a RunUntil that stops short of the next
+// event), fills every bucket from there, then schedules an event near the
+// clock. The cursor rewinds, so after that event every bucket holds only
+// residents a ring revolution later than the window being scanned; the
+// scan steps past them and then jumps straight to the minimum.
+func TestCalendarLaterRevolutionJump(t *testing.T) {
+	forBothSchedulers(t, func(t *testing.T, s oracleScheduler) {
+		const first = 1000 // window of the first parked event
+		var fired []Time
+		rec := func() { fired = append(fired, s.Now()) }
+		s.schedule(first<<calWidthLog, rec)
+		s.RunUntil(0)
+		for w := Time(first + 1); w < first+calMinBuckets; w++ {
+			s.schedule(w<<calWidthLog, rec)
+		}
+		s.schedule(10<<calWidthLog, rec)
+		s.Run()
+		if len(fired) != calMinBuckets+1 {
+			t.Fatalf("fired %d events, want %d", len(fired), calMinBuckets+1)
+		}
+		for i := 1; i < len(fired); i++ {
+			if fired[i] <= fired[i-1] {
+				t.Fatalf("event %d fired at %v after %v", i, fired[i], fired[i-1])
+			}
+		}
+	})
 }
 
 // TestCalendarResizeStress pushes enough simultaneous load to force ring

@@ -10,9 +10,9 @@ import "math/bits"
 // documented in DESIGN.md §12. In brief:
 //
 //   - Each bucket covers one calWidth-picosecond window and holds its
-//     events as a slice sorted by (At, seq) with a consumed-prefix head
-//     index, so popping is a pointer bump and same-timestamp cohorts are
-//     contiguous.
+//     events as a doubly linked list through the events themselves,
+//     sorted by (At, seq), so popping unlinks the head and same-timestamp
+//     cohorts are contiguous.
 //   - A bitmap marks non-empty buckets; the scan for the next event skips
 //     empty windows with word-wide TrailingZeros jumps instead of walking
 //     them.
@@ -25,9 +25,10 @@ import "math/bits"
 //     tombstone back to the event pool.
 //   - The ring resizes lazily as event density shifts: it doubles when
 //     live events exceed calGrowFactor× the bucket count and halves when
-//     they fall below a quarter of it, rebuilding in O(live + buckets).
-//     The ring, bitmap and bucket storage outlive a resize, so a ring that
-//     swings between sizes allocates only on its first swing.
+//     they fall below a quarter of it, relinking in O(live + buckets).
+//     The queue owns no per-event storage, so only a ring larger than any
+//     before it allocates: a ring that swings between sizes, or a burst
+//     into one bucket, allocates nothing.
 type calendarQueue struct {
 	buckets  []calBucket // capacity: the largest ring reached
 	mask     uint64      // len(buckets)-1; len is a power of two
@@ -36,7 +37,6 @@ type calendarQueue struct {
 	live     int         // queued non-tombstoned events (buckets + overflow)
 	overflow overflowHeap
 	pool     *eventPool // where dropped tombstones go
-	moving   []*event   // resize scratch: the live events being redistributed
 }
 
 const (
@@ -46,26 +46,19 @@ const (
 	// and coarse enough that a hop delay (~160ns) is only ~160 windows —
 	// three bitmap words — ahead of the cursor.
 	calWidthLog = 10
-	// calMinBuckets/calMaxBuckets bound the ring: 256 buckets cover 262µs
-	// of horizon at minimum, 64K cover ~67ms at maximum.
+	// calMinBuckets/calMaxBuckets bound the ring: 256 buckets cover 262ns
+	// of horizon at minimum, 64K cover ~67µs at maximum.
 	calMinBuckets = 256
 	calMaxBuckets = 1 << 16
 	// calGrowFactor triggers a ring doubling once live events exceed this
 	// multiple of the bucket count (shrink triggers at 1/4 of the count).
 	calGrowFactor = 4
-	// calKeepCap is the largest bucket capacity a resize keeps. Emptied
-	// buckets keep their storage, so a ring that oscillates between sizes
-	// reuses it; a burst bucket, holding more than 4× the grow-trigger
-	// average, is released instead so that it does not pin its peak for
-	// the rest of the run.
-	calKeepCap = 4 * calGrowFactor
 )
 
-// calBucket holds one window's events sorted by (At, seq); entries before
-// head are consumed (and nil'd: their events may already be recycled).
+// calBucket holds one window's events sorted by (At, seq), linked through
+// event.next and event.prev; both ends are nil when it is empty.
 type calBucket struct {
-	head int
-	ev   []*event
+	head, tail *event
 }
 
 func (q *calendarQueue) init(pool *eventPool) {
@@ -98,26 +91,31 @@ func (q *calendarQueue) push(e *event) {
 	}
 }
 
-// insert places e, belonging to window w, into its bucket keeping the
+// insert links e, belonging to window w, into its bucket keeping the
 // bucket sorted by (At, seq). seq grows monotonically, so among equal
 // timestamps the new event always lands last and the common scheduling
-// patterns (future timestamps, zero-delay continuations) append at or
-// near the tail. A full bucket that is being drained at its head while it
-// fills at its tail (the current window under a burst) compacts instead
-// of regrowing past its consumed prefix.
+// patterns (future timestamps, zero-delay continuations) link at or near
+// the tail.
 func (q *calendarQueue) insert(e *event, w uint64) {
 	idx := w & q.mask
 	b := &q.buckets[idx]
-	if len(b.ev) == cap(b.ev) {
-		b.ev, b.head = compact(b.ev, b.head)
+	p := b.tail
+	for p != nil && e.before(p) {
+		p = p.prev
 	}
-	i := len(b.ev)
-	for i > b.head && e.before(b.ev[i-1]) {
-		i--
+	e.prev = p
+	if p == nil {
+		e.next = b.head
+		b.head = e
+	} else {
+		e.next = p.next
+		p.next = e
 	}
-	b.ev = append(b.ev, nil)
-	copy(b.ev[i+1:], b.ev[i:])
-	b.ev[i] = e
+	if e.next == nil {
+		b.tail = e
+	} else {
+		e.next.prev = e
+	}
 	q.bitmap[idx>>6] |= 1 << (idx & 63)
 }
 
@@ -136,25 +134,18 @@ func (q *calendarQueue) popCohort(dst []*event) []*event {
 	}
 	at := e.at
 	idx := q.curW & q.mask
-	b := &q.buckets[idx]
-	for b.head < len(b.ev) {
-		c := b.ev[b.head]
-		if c.at != at {
-			break
+	for e != nil && e.at == at {
+		next := e.next // put relinks a tombstone onto the free list
+		if e.idx == idxCancelled {
+			q.pool.put(e)
+		} else {
+			e.idx = idxStaged
+			q.live--
+			dst = append(dst, e)
 		}
-		b.ev[b.head] = nil
-		b.head++
-		if c.idx == idxCancelled {
-			q.pool.put(c)
-			continue
-		}
-		c.idx = idxStaged
-		q.live--
-		dst = append(dst, c)
+		e = next
 	}
-	if b.head == len(b.ev) {
-		q.resetBucket(idx)
-	}
+	q.setHead(idx, e)
 	if n := len(q.buckets); n > calMinBuckets && q.live < n/4 {
 		q.resize(n / 2)
 	}
@@ -189,29 +180,23 @@ func (q *calendarQueue) scan() *event {
 		}
 		q.curW += dB
 		idx := q.curW & q.mask
-		b := &q.buckets[idx]
-		for b.head < len(b.ev) {
-			e := b.ev[b.head]
-			if uint64(e.at)>>calWidthLog != q.curW {
-				// Later-revolution resident (possible after a cursor
-				// rewind shrank the horizon); not due this window.
-				break
-			}
-			if e.idx == idxCancelled {
-				b.ev[b.head] = nil
-				b.head++
-				q.pool.put(e)
-				continue
-			}
-			return e
+		e := q.buckets[idx].head
+		for e != nil && e.idx == idxCancelled {
+			next := e.next
+			q.pool.put(e)
+			e = next
 		}
-		if b.head == len(b.ev) {
-			q.resetBucket(idx)
+		q.setHead(idx, e)
+		if e == nil {
 			continue
 		}
-		// Only later-revolution events here: step past this window. If
-		// such residents make the forward scan churn, fall back to a
-		// direct minimum jump.
+		if uint64(e.at)>>calWidthLog == q.curW {
+			return e
+		}
+		// Only later-revolution residents here (possible after a cursor
+		// rewind shrank the horizon): step past this window. If such
+		// residents make the forward scan churn, fall back to a direct
+		// minimum jump.
 		q.curW++
 		if misses++; misses > 128 {
 			q.jumpToMin()
@@ -219,6 +204,19 @@ func (q *calendarQueue) scan() *event {
 		}
 	}
 	return nil
+}
+
+// setHead makes e, a member of bucket idx or nil, the bucket's head,
+// unlinking everything before it; an emptied bucket drops its bitmap bit.
+func (q *calendarQueue) setHead(idx uint64, e *event) {
+	b := &q.buckets[idx]
+	b.head = e
+	if e != nil {
+		e.prev = nil
+		return
+	}
+	b.tail = nil
+	q.bitmap[idx>>6] &^= 1 << (idx & 63)
 }
 
 // migrateWindow moves every overflow event belonging to the cursor's
@@ -256,11 +254,8 @@ func (q *calendarQueue) jumpToMin() {
 		for word != 0 {
 			i := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
 			word &= word - 1
-			b := &q.buckets[i]
-			if b.head < len(b.ev) {
-				if e := b.ev[b.head]; min == nil || e.before(min) {
-					min = e
-				}
+			if e := q.buckets[i].head; min == nil || e.before(min) {
+				min = e
 			}
 		}
 	}
@@ -293,43 +288,41 @@ func (q *calendarQueue) nextSetIdx(idx uint64) (uint64, bool) {
 	return 0, false
 }
 
-// resetBucket clears a fully-consumed bucket for reuse (capacity kept; all
-// consumed entries were already nil'd) and drops its bitmap bit.
-func (q *calendarQueue) resetBucket(idx uint64) {
-	b := &q.buckets[idx]
-	b.head = 0
-	b.ev = b.ev[:0]
-	q.bitmap[idx>>6] &^= 1 << (idx & 63)
-}
-
-// resize rebuilds the ring with n buckets, redistributing live events and
+// resize rebuilds the ring with n buckets, relinking live events and
 // dropping tombstones; overflow events that now fit the wider horizon
-// migrate in, and events beyond a narrower one migrate out. The ring and
-// bitmap are re-sliced within the largest ring reached, and every emptied
-// bucket keeps up to calKeepCap of its storage.
+// migrate in, and events beyond a narrower one migrate out. The live
+// events are first chained through event.next in bucket order, so each
+// bucket's sorted run relinks at its new bucket's tail. The ring and
+// bitmap are re-sliced within the largest ring reached.
 func (q *calendarQueue) resize(n int) {
-	moving := q.moving[:0]
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		for _, e := range b.ev[b.head:] {
-			if e.idx == idxCancelled {
-				q.pool.put(e)
-				continue
+	var first, last *event
+	for wi, word := range q.bitmap {
+		for word != 0 {
+			i := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
+			word &= word - 1
+			b := &q.buckets[i]
+			for e := b.head; e != nil; {
+				next := e.next
+				if e.idx == idxCancelled {
+					q.pool.put(e)
+				} else {
+					if last == nil {
+						first = e
+					} else {
+						last.next = e
+					}
+					last = e
+				}
+				e = next
 			}
-			moving = append(moving, e)
-		}
-		clear(b.ev)
-		b.head = 0
-		if cap(b.ev) > calKeepCap {
-			b.ev = nil
-		} else {
-			b.ev = b.ev[:0]
+			*b = calBucket{}
 		}
 	}
+	if last != nil {
+		last.next = nil
+	}
 	if n > cap(q.buckets) {
-		grown := make([]calBucket, n)
-		copy(grown, q.buckets[:cap(q.buckets)])
-		q.buckets = grown
+		q.buckets = make([]calBucket, n)
 		q.bitmap = make([]uint64, n/64)
 	} else {
 		q.buckets = q.buckets[:n]
@@ -337,16 +330,15 @@ func (q *calendarQueue) resize(n int) {
 		clear(q.bitmap)
 	}
 	q.mask = uint64(n - 1)
-	for _, e := range moving {
-		w := uint64(e.at) >> calWidthLog
-		if w-q.curW >= uint64(n) {
+	for e := first; e != nil; {
+		next := e.next
+		if w := uint64(e.at) >> calWidthLog; w-q.curW >= uint64(n) {
 			q.overflow.push(e)
-			continue
+		} else {
+			q.insert(e, w)
 		}
-		q.insert(e, w)
+		e = next
 	}
-	clear(moving)
-	q.moving = moving[:0]
 	for {
 		of := q.overflowHead()
 		if of == nil {

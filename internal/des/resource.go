@@ -163,9 +163,8 @@ func (p *TokenPool) dispatch() {
 	}
 }
 
-// compact readies a head-consumed queue — a wait queue here, or a calendar
-// bucket — whose entries before head are consumed (and zeroed), for one
-// more append. An empty queue restarts at the front. A full one whose
+// compact readies a head-consumed wait queue, whose entries before head
+// are consumed (and zeroed), for one more append. An empty queue restarts at the front. A full one whose
 // consumed head is at least half of it moves its live tail down instead of
 // letting append regrow past a dead prefix, so a standing backlog reuses
 // its storage. Order is unchanged.

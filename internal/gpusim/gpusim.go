@@ -49,13 +49,23 @@ func Expand(w WarpStore) ([]core.Store, error) {
 
 // Validate reports whether the warp store is well formed.
 func (w WarpStore) Validate() error {
-	if w.ElemSize <= 0 || w.ElemSize > 16 {
-		return fmt.Errorf("gpusim: element size %d outside [1,16]", w.ElemSize)
-	}
-	if len(w.Addrs) == 0 || len(w.Addrs) > WarpSize {
-		return fmt.Errorf("gpusim: %d active lanes outside [1,%d]", len(w.Addrs), WarpSize)
+	if w.ElemSize <= 0 || w.ElemSize > 16 || len(w.Addrs) == 0 || len(w.Addrs) > WarpSize {
+		return &warpStoreError{elemSize: w.ElemSize, lanes: len(w.Addrs)}
 	}
 	return nil
+}
+
+// warpStoreError reports a malformed warp store. It formats its message
+// only when read, so the coalescer's per-warp check does no formatting.
+type warpStoreError struct {
+	elemSize, lanes int
+}
+
+func (e *warpStoreError) Error() string {
+	if e.elemSize <= 0 || e.elemSize > 16 {
+		return fmt.Sprintf("gpusim: element size %d outside [1,16]", e.elemSize)
+	}
+	return fmt.Sprintf("gpusim: %d active lanes outside [1,%d]", e.lanes, WarpSize)
 }
 
 // Coalesce performs L1-style write coalescing on a warp store: lane writes

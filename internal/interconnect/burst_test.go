@@ -13,11 +13,11 @@ const burstMessages = 16384
 
 // TestSendBurstAllocsPerMessage pins what a message in flight costs the
 // host on a fresh network: one pooled xfer, carved from a slab, plus its
-// one bound callback — about one allocation. A message takes all its
-// pipeline state when Send accepts it, so the measurement spans the
-// burst's Sends; that includes the destination's credit wait queue and
-// the scheduler's events for the credits granted at once. Every source
-// sends to GPU 0, so the burst queues on one destination's credits.
+// one bound callback — about one allocation. The measurement spans the
+// whole burst, its Sends and the run that delivers it: the destination's
+// credit wait queue, the scheduler's events, and the calendar the burst
+// swings through as it drains. Every source sends to GPU 0, so the burst
+// queues on one destination's credits.
 func TestSendBurstAllocsPerMessage(t *testing.T) {
 	spec, err := topo.Preset(topo.PresetPod4x8)
 	if err != nil {
@@ -45,8 +45,8 @@ func TestSendBurstAllocsPerMessage(t *testing.T) {
 			for i := 0; i < burstMessages; i++ {
 				n.Send(1+i%(tc.cfg.NumGPUs-1), 0, 64, done)
 			}
-			runtime.ReadMemStats(&after)
 			sched.Run()
+			runtime.ReadMemStats(&after)
 			if delivered != burstMessages {
 				t.Fatalf("delivered %d of %d messages", delivered, burstMessages)
 			}

@@ -111,6 +111,15 @@ func NewByteTracker() *ByteTracker {
 	return &ByteTracker{lines: make(map[uint64]core.ByteMask)}
 }
 
+// NewByteTrackers returns n empty trackers in one slice.
+func NewByteTrackers(n int) []ByteTracker {
+	ts := make([]ByteTracker, n)
+	for i := range ts {
+		ts[i].lines = make(map[uint64]core.ByteMask)
+	}
+	return ts
+}
+
 // Add records a store's byte range and returns how many of its bytes were
 // new (not previously recorded).
 func (t *ByteTracker) Add(addr uint64, size int) int {

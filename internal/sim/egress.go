@@ -269,10 +269,16 @@ type umEgress struct {
 	pageBytes int
 	faultLat  des.Time
 	s         *sender
-	pages     map[int]map[uint64]struct{} // dst → page set
+	pages     map[umPage]struct{} // pages touched since the last flush
 	pageOrder map[int][]uint64
 	// PagesMigrated counts page transfers.
 	PagesMigrated uint64
+}
+
+// umPage names one destination's page.
+type umPage struct {
+	dst  int
+	page uint64
 }
 
 func newUMEgress(cfg core.Config, pageBytes int, faultLat des.Time, s *sender) *umEgress {
@@ -284,7 +290,7 @@ func newUMEgress(cfg core.Config, pageBytes int, faultLat des.Time, s *sender) *
 		pageBytes: pageBytes,
 		faultLat:  faultLat,
 		s:         s,
-		pages:     make(map[int]map[uint64]struct{}),
+		pages:     make(map[umPage]struct{}),
 		pageOrder: make(map[int][]uint64),
 	}
 }
@@ -296,13 +302,9 @@ func (e *umEgress) store(st core.Store) error {
 	first := st.Addr / uint64(e.pageBytes)
 	last := (st.End() - 1) / uint64(e.pageBytes)
 	for page := first; page <= last; page++ {
-		set, ok := e.pages[st.Dst]
-		if !ok {
-			set = make(map[uint64]struct{})
-			e.pages[st.Dst] = set
-		}
-		if _, seen := set[page]; !seen {
-			set[page] = struct{}{}
+		k := umPage{st.Dst, page}
+		if _, seen := e.pages[k]; !seen {
+			e.pages[k] = struct{}{}
 			e.pageOrder[st.Dst] = append(e.pageOrder[st.Dst], page)
 		}
 	}
@@ -331,9 +333,9 @@ func (e *umEgress) flush(done func()) {
 				e.s.transmit(dst, int(wire))
 			})
 		}
-		e.pages[dst] = make(map[uint64]struct{})
 		e.pageOrder[dst] = nil
 	}
+	clear(e.pages)
 	// Drain completes only after the last scheduled migration lands; the
 	// sender's outstanding counter covers the in-flight ones, but none
 	// may have been scheduled yet — wait past the last issue time.

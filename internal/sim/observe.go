@@ -90,8 +90,8 @@ func (s *sampler) tick() {
 		r.obsRec.SampleIngressUtilization(g, now, float64(ib-s.prevIngress[g])/interval)
 		s.prevIngress[g] = ib
 		depth := 0
-		if len(r.engines) > g && r.engines[g] != nil {
-			depth = r.engines[g].pendingStores()
+		if g < len(r.emitters) {
+			depth = r.emitters[g].e.pendingStores()
 		}
 		r.obsRec.SampleQueueDepth(g, now, depth)
 		r.obsRec.SampleCreditStalls(g, now, r.net.CreditWaiters(g))

@@ -186,8 +186,8 @@ func runSource(src trace.IterationSource, par Paradigm, cfg Config, rec *obs.Rec
 		// max-payload TLPs on the wire.
 		res.Packets = r.dmaTLPs
 	}
-	for _, e := range r.engines {
-		e.accumulate(res)
+	for i := range r.emitters {
+		r.emitters[i].e.accumulate(res)
 	}
 	if res.fpPacketSum > 0 {
 		res.AvgStoresPerPacket = float64(res.fpStoresPackedSum) / float64(res.fpPacketSum)
@@ -205,11 +205,22 @@ type runner struct {
 	// is the window being replayed — everything it references is only
 	// valid until the next src.Next(), which startIteration only calls
 	// once the previous window's traffic has fully drained.
-	src     trace.IterationSource
-	meta    trace.Meta
-	cur     *trace.Iteration
-	res     *Result
-	engines []egress // store paradigms; nil entries for DMA/Infinite
+	src  trace.IterationSource
+	meta trace.Meta
+	cur  *trace.Iteration
+	res  *Result
+	// emitters replay each GPU's store stream through its egress engine
+	// (store paradigms only; nil for the others).
+	emitters []emitter
+	// The store paradigms' barrier for the window being replayed: its
+	// iteration, the kernels still running and GPUs still draining, and
+	// the latest kernel end + barrier latency and delivery so far.
+	// drainedFn and nextIterFn are r.gpuDrained and r.nextIteration,
+	// bound once in setup.
+	iter                  int
+	kernels, drains       int
+	barrierAt, drainsAt   des.Time
+	drainedFn, nextIterFn func()
 	// graph is the multi-hop topology (nil on the flat fabric), used to
 	// classify endpoint pairs for the intra/inter-node result splits.
 	graph *topo.Graph
@@ -220,9 +231,9 @@ type runner struct {
 	coal gpusim.Coalescer
 
 	// useful-byte tracking: unique bytes per (src,dst) per iteration,
-	// indexed src*NumGPUs+dst. A pre-sized flat slice: track() runs once
-	// per coalesced store, and map lookups there dominated profiles.
-	trackers []*memsystem.ByteTracker
+	// indexed src*NumGPUs+dst. A flat slice made in setup: track() runs
+	// once per coalesced store, and map lookups there dominated profiles.
+	trackers []memsystem.ByteTracker
 
 	// CheckData state.
 	refMem   map[int]*memsystem.Memory
@@ -262,8 +273,9 @@ func (r *runner) setup() error {
 	if !r.storeParadigm() {
 		return nil
 	}
-	r.trackers = make([]*memsystem.ByteTracker, r.meta.NumGPUs*r.meta.NumGPUs)
-	r.engines = make([]egress, r.meta.NumGPUs)
+	r.trackers = memsystem.NewByteTrackers(r.meta.NumGPUs * r.meta.NumGPUs)
+	r.emitters = make([]emitter, r.meta.NumGPUs)
+	r.drainedFn, r.nextIterFn = r.gpuDrained, r.nextIteration
 
 	// Destination-side de-packetizer ingress buffers, shared by all
 	// senders targeting a GPU. UM transfers whole pages outside the
@@ -304,7 +316,9 @@ func (r *runner) setup() error {
 		if err != nil {
 			return err
 		}
-		r.engines[g] = e
+		em := &r.emitters[g]
+		em.r, em.g, em.e = r, g, e
+		em.onBatch, em.onEnd = em.batch, em.end
 	}
 	return nil
 }
@@ -392,11 +406,10 @@ func (r *runner) startIteration(i int) {
 	// Fold the finished epoch's unique bytes into the useful-byte total
 	// (barriers delimit epochs: a byte rewritten in a later iteration is
 	// separately useful there).
-	for k, t := range r.trackers {
-		if t != nil {
-			r.addUseful(k/r.meta.NumGPUs, k%r.meta.NumGPUs, t.Unique())
-			t.Reset()
-		}
+	for k := range r.trackers {
+		t := &r.trackers[k]
+		r.addUseful(k/r.meta.NumGPUs, k%r.meta.NumGPUs, t.Unique())
+		t.Reset()
 	}
 	if i >= r.meta.Iterations {
 		r.finished = true
@@ -433,45 +446,16 @@ func (r *runner) startIteration(i int) {
 		// itself (§VI-B: the flush cost "will be dwarfed by the cost of
 		// the synchronization barrier"). The next iteration starts at
 		// max(last kernel end + barrier, last byte delivered).
-		kernels, drains := r.meta.NumGPUs, r.meta.NumGPUs
-		var barrierAt, drainsAt des.Time
-		maybeNext := func() {
-			if kernels != 0 || drains != 0 {
-				return
-			}
-			if r.actMem != nil {
-				r.checkMemories(i)
-				if r.checkErr != nil {
-					return
-				}
-			}
-			at := barrierAt
-			if drainsAt > at {
-				at = drainsAt
-			}
-			r.sched.At(at, func() { r.startIteration(i + 1) })
-		}
+		r.iter = i
+		r.kernels, r.drains = r.meta.NumGPUs, r.meta.NumGPUs
+		r.barrierAt, r.drainsAt = 0, 0
 		for g := 0; g < r.meta.NumGPUs; g++ {
 			w := it.PerGPU[g]
 			tc := r.cfg.Compute.Duration(w.ComputeOps)
 			if r.obsRec != nil {
 				r.obsRec.ComputePhase(g, i, t0, t0+tc)
 			}
-			r.scheduleStores(g, w, t0, tc,
-				func() { // kernel end (flush initiated)
-					if t := r.sched.Now() + r.cfg.BarrierLatency; t > barrierAt {
-						barrierAt = t
-					}
-					kernels--
-					maybeNext()
-				},
-				func() { // all traffic delivered
-					if t := r.sched.Now(); t > drainsAt {
-						drainsAt = t
-					}
-					drains--
-					maybeNext()
-				})
+			r.scheduleStores(g, w, t0, tc)
 		}
 		return
 	}
@@ -497,6 +481,46 @@ func (r *runner) startIteration(i int) {
 		r.scheduleCopies(g, it.PerGPU[g], t0, gpuDone)
 	}
 }
+
+// kernelEnded retires one GPU's kernel, its flush initiated.
+func (r *runner) kernelEnded() {
+	if t := r.sched.Now() + r.cfg.BarrierLatency; t > r.barrierAt {
+		r.barrierAt = t
+	}
+	r.kernels--
+	r.maybeNext()
+}
+
+// gpuDrained retires one GPU's traffic, every packet delivered.
+func (r *runner) gpuDrained() {
+	if t := r.sched.Now(); t > r.drainsAt {
+		r.drainsAt = t
+	}
+	r.drains--
+	r.maybeNext()
+}
+
+// maybeNext schedules the next iteration once every kernel has ended and
+// every GPU has drained: at max(last kernel end + barrier, last byte
+// delivered).
+func (r *runner) maybeNext() {
+	if r.kernels != 0 || r.drains != 0 {
+		return
+	}
+	if r.actMem != nil {
+		r.checkMemories(r.iter)
+		if r.checkErr != nil {
+			return
+		}
+	}
+	at := r.barrierAt
+	if r.drainsAt > at {
+		at = r.drainsAt
+	}
+	r.sched.At(at, r.nextIterFn)
+}
+
+func (r *runner) nextIteration() { r.startIteration(r.iter + 1) }
 
 // fail records the first fatal error and halts the schedule; the run
 // entry point surfaces it after the event loop stops.
@@ -664,79 +688,99 @@ func (r *runner) scheduleCopies(g int, w trace.GPUWork, t0 des.Time, done func()
 
 // scheduleStores spreads the kernel's store stream across its compute time
 // in EmissionBatches batches (proactive stores overlap compute), then
-// flushes the transport at kernel end. kernelEnd fires when the kernel
-// retires (release issued); drained fires when every packet is delivered.
-func (r *runner) scheduleStores(g int, w trace.GPUWork, t0 des.Time, tc des.Time, kernelEnd, drained func()) {
-	e := r.engines[g]
-	n := len(w.Stores)
-	batches := r.cfg.EmissionBatches
-	if batches > n {
-		batches = n
+// flushes the transport at kernel end: the kernel retires then (release
+// issued, kernelEnded), and the GPU drains once every packet is delivered
+// (gpuDrained).
+func (r *runner) scheduleStores(g int, w trace.GPUWork, t0 des.Time, tc des.Time) {
+	em := &r.emitters[g]
+	em.stores, em.next = w.Stores, 0
+	em.batches = r.cfg.EmissionBatches
+	if em.batches > len(w.Stores) {
+		em.batches = len(w.Stores)
 	}
-	for b := 0; b < batches; b++ {
-		lo, hi := n*b/batches, n*(b+1)/batches
-		chunk := w.Stores[lo:hi]
+	for b := 0; b < em.batches; b++ {
 		// Batch b is produced at fraction b/batches of the kernel: stores
 		// stream out across execution, leaving the final tc/batches for
 		// the transport to drain before the kernel-end flush.
-		at := t0 + tc*des.Time(b)/des.Time(batches)
-		r.sched.At(at, func() {
-			for _, ws := range chunk {
-				if ws.Atomic {
-					// Atomics bypass L1 coalescing: one transaction
-					// per lane (§IV-C).
-					txs, err := r.coal.ExpandObserved(ws, r.warpObs)
-					if err != nil {
-						r.fail(err)
-						return
-					}
-					for _, st := range txs {
-						r.res.StoresSent++
-						r.track(g, st)
-						if r.refMem != nil {
-							r.refMem[st.Dst].Write(st)
-						}
-						if err := e.atomic(st); err != nil {
-							r.fail(err)
-							return
-						}
-					}
-					continue
+		r.sched.At(t0+tc*des.Time(b)/des.Time(em.batches), em.onBatch)
+	}
+	r.sched.At(t0+tc, em.onEnd)
+}
+
+// emitter replays one GPU's store stream for the window being replayed:
+// batch runs once per emission batch and end once at kernel end, both
+// scheduled through method values bound once per run in setup. Windows
+// are barrier-separated (startIteration pulls the next one only after
+// the previous one drained), so no two windows share an emitter. Batches
+// fire in batch order, equal timestamps included (the scheduler breaks
+// ties by scheduling order), so a cursor names the next one.
+type emitter struct {
+	r              *runner
+	g              int
+	e              egress
+	stores         []gpusim.WarpStore
+	batches, next  int
+	onBatch, onEnd func() // em.batch, em.end
+}
+
+// batch emits the next batch of the window's stores through the GPU's
+// coalescer and egress engine.
+//
+//finepack:hotpath every emitted warp store passes through here
+func (em *emitter) batch() {
+	r, n := em.r, len(em.stores)
+	b := em.next
+	em.next++
+	for _, ws := range em.stores[n*b/em.batches : n*(b+1)/em.batches] {
+		if ws.Atomic {
+			// Atomics bypass L1 coalescing: one transaction per lane
+			// (§IV-C).
+			txs, err := r.coal.ExpandObserved(ws, r.warpObs)
+			if err != nil {
+				r.fail(err)
+				return
+			}
+			for _, st := range txs {
+				r.res.StoresSent++
+				r.track(em.g, st)
+				if r.refMem != nil {
+					r.refMem[st.Dst].Write(st)
 				}
-				txs, err := r.coal.CoalesceObserved(ws, r.warpObs)
-				if err != nil {
+				if err := em.e.atomic(st); err != nil {
 					r.fail(err)
 					return
 				}
-				for _, st := range txs {
-					r.res.StoresSent++
-					r.track(g, st)
-					if r.refMem != nil {
-						r.refMem[st.Dst].Write(st)
-					}
-					if err := e.store(st); err != nil {
-						r.fail(err)
-						return
-					}
-				}
 			}
-		})
+			continue
+		}
+		txs, err := r.coal.CoalesceObserved(ws, r.warpObs)
+		if err != nil {
+			r.fail(err)
+			return
+		}
+		for _, st := range txs {
+			r.res.StoresSent++
+			r.track(em.g, st)
+			if r.refMem != nil {
+				r.refMem[st.Dst].Write(st)
+			}
+			if err := em.e.store(st); err != nil {
+				r.fail(err)
+				return
+			}
+		}
 	}
-	r.sched.At(t0+tc, func() {
-		e.flush(drained)
-		kernelEnd()
-	})
+}
+
+// end flushes the GPU's transport at kernel end and retires the kernel.
+func (em *emitter) end() {
+	em.e.flush(em.r.drainedFn)
+	em.r.kernelEnded()
 }
 
 // track records a store's bytes in the per-(src,dst) unique-byte tracker.
 func (r *runner) track(src int, st core.Store) {
-	key := src*r.meta.NumGPUs + st.Dst
-	t := r.trackers[key]
-	if t == nil {
-		t = memsystem.NewByteTracker()
-		r.trackers[key] = t
-	}
-	t.Add(st.Addr, st.Size)
+	r.trackers[src*r.meta.NumGPUs+st.Dst].Add(st.Addr, st.Size)
 }
 
 // checkMemories verifies, at a barrier, that delivered bytes match program
