@@ -140,10 +140,10 @@ bench-smoke:
 # fails CI dynamically. EncodeDecodePacket pins the one-buffer wire codec,
 # StreamedSSSP the streamed-trace path, WorkloadGenerate the in-place CSR
 # graph build, and NetworkSendBurstFlat4/Pod4x8 the pooled transfer
-# pipeline (one allocation per message in flight). The baseline is the
-# snapshot taken after calendar buckets became lists linked through their
-# events and each GPU's stores moved onto one pre-bound emitter.
-BENCH_BASELINE := BENCH_2026-10-18-linked.json
+# pipeline (a small fraction of an allocation per message in flight). The
+# baseline is the snapshot taken after the pooled pipeline objects became
+# their own des event handlers.
+BENCH_BASELINE := BENCH_2026-10-19-handler.json
 comma := ,
 BENCH_GATES := BenchmarkSchedulerEvents,BenchmarkFig2Goodput,BenchmarkEndToEndSSSP,BenchmarkFig9Speedup,BenchmarkMultiHopAllReduce,BenchmarkEncodeDecodePacket,BenchmarkStreamedSSSP,BenchmarkWorkloadGenerate,BenchmarkNetworkSendBurstFlat4,BenchmarkNetworkSendBurstPod4x8
 bench-compare:

@@ -50,7 +50,7 @@ func TestSchedulerSteadyStateAllocFree(t *testing.T) {
 	nop := func() {}
 	batch := func() {
 		for i := 0; i < 512; i++ {
-			s.After(des.Time(i%64)*des.Nanosecond, nop)
+			s.After(des.Time(i%64)*des.Nanosecond, des.Func(nop))
 		}
 		s.Run()
 	}

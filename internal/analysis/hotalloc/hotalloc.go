@@ -12,19 +12,25 @@
 //
 // Reachability comes from the whole-program call graph (analysis.CallGraph):
 // static calls, method-value references, and interface calls resolved
-// conservatively. Calls through plain func values (the DES event callbacks)
-// resolve to nothing, so each layer annotates its own entry points.
+// conservatively. The scheduler fires every event through des.Handler's
+// Fire, an interface call, so every Fire method in the program is hot.
+// Calls through plain func values (a des.Func's function) resolve to
+// nothing, so each layer annotates its own entry points.
 //
 // Flagged in hot functions:
 //
 //   - func literals that capture variables — each evaluation allocates the
 //     closure (hoist state to a struct field, or pre-bind once at setup);
 //   - method values (x.M used as a value, not called) — each evaluation
-//     allocates a bound closure (pre-bind once, as sendOp.completeFn does);
+//     allocates a bound closure (make the object its own handler, as
+//     interconnect's pooled xfer is a des.Handler, or pre-bind once at
+//     setup);
 //   - fmt.* calls — formatting boxes every operand (panic(fmt.Sprintf(...))
 //     is exempt: a crash path's allocation is irrelevant);
-//   - interface boxing: passing a concrete non-pointer value where an
-//     interface parameter is declared;
+//   - interface boxing: passing a concrete value that is not pointer
+//     shaped (a pointer, func, map, chan or unsafe.Pointer, which the
+//     interface stores directly) where an interface parameter is
+//     declared;
 //   - append in a loop to a slice that was never presized — growth
 //     reallocates across iterations (size with make(len/cap) up front);
 //   - map or channel creation (make, map literals) — per-event map churn is
@@ -32,8 +38,8 @@
 //
 // Legitimate exceptions carry //finepack:allow hotalloc -- <why>; a
 // directive in a function's doc comment exempts the whole body (the shape
-// freelist miss paths want: they build pre-bound closures once per pooled
-// object, amortized to zero per event).
+// a miss path wants when it builds state once per pooled object,
+// amortized to zero per event).
 package hotalloc
 
 import (
@@ -211,12 +217,25 @@ func checkCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr, inPani
 		if at.IsNil() || types.IsInterface(at.Type) {
 			continue
 		}
-		if _, isPtr := at.Type.Underlying().(*types.Pointer); isPtr {
-			continue // pointers fit in the interface word; no boxing
+		if pointerShaped(at.Type) {
+			continue // fits in the interface word; no boxing
 		}
 		qual := types.RelativeTo(pass.Pkg)
 		pass.Reportf(arg.Pos(), "passing %s by value into %s boxes it (allocates) in a hot path; pass a pointer or restructure", types.TypeString(at.Type, qual), types.TypeString(param, qual))
 	}
+}
+
+// pointerShaped reports whether values of t are a single pointer word —
+// pointers, funcs, maps, chans and unsafe.Pointer — which an interface
+// stores directly, so converting one allocates nothing.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // checkLoopAppend flags append growth inside a loop when the destination

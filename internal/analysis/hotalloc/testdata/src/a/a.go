@@ -4,15 +4,28 @@
 // function scope.
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 type op struct{ v int }
+
+// fn adapts a func to firer the way des.Func adapts one to des.Handler.
+type fn func()
+
+func (f fn) Fire() { f() }
+
+type firer interface{ Fire() }
 
 type handler interface {
 	handle(v int)
 }
 
-type counter struct{ n int }
+type counter struct {
+	n      int
+	byName map[string]int
+}
 
 func (c *counter) handle(v int) { c.n += v }
 
@@ -20,7 +33,7 @@ func (c *counter) handle(v int) { c.n += v }
 // counter.handle through the handler interface — joins the hot set.
 //
 //finepack:hotpath inner event loop stand-in
-func (c *counter) pump(ops []op, h handler, box func(any)) {
+func (c *counter) pump(ops []op, h handler, box func(any), tick func(), schedule func(firer)) {
 	var grow []int
 	sized := make([]int, 0, len(ops))
 	for _, o := range ops {
@@ -36,12 +49,17 @@ func (c *counter) pump(ops []op, h handler, box func(any)) {
 	box(c.n)                     // want "passing int by value into any boxes it"
 	box(&ops)                    // pointer fits the interface word: silent
 	box(nil)
-	m := map[string]int{} // want "map literal allocates"
+	box(tick)                 // a func value is one pointer word: silent
+	schedule(fn(tick))        // so is a named func type: silent
+	box(c.byName)             // a map too: silent
+	box(unsafe.Pointer(&ops)) // and unsafe.Pointer: silent
+	box(*c)                   // want "passing counter by value into any boxes it"
+	m := map[string]int{}     // want "map literal allocates"
 	_ = m
 	mm := make(map[int]int) // want "make\\(map\\) allocates"
 	_ = mm
 	ch := make(chan int) // want "make\\(chan\\) allocates"
-	_ = ch
+	box(ch)              // a chan is one pointer word: silent
 	if c.n < 0 {
 		panic(fmt.Sprintf("negative count %d", c.n)) // crash path: silent
 	}

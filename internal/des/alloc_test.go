@@ -20,10 +20,10 @@ const (
 func scheduleSwing(s *Scheduler, fn func(), perStamp int) {
 	const ring = Time(swingBuckets) << calWidthLog
 	base := (s.Now()/ring + 1) * ring
-	s.At(base, fn)
+	s.At(base, Func(fn))
 	s.Run()
 	for i := 0; i < oscillationEvents; i++ {
-		s.At(base+Time(i/perStamp)*256, fn)
+		s.At(base+Time(i/perStamp)*256, Func(fn))
 	}
 }
 

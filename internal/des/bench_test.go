@@ -11,7 +11,7 @@ func BenchmarkSchedulerBurst(b *testing.B) {
 	fn := func() {}
 	run := func() {
 		for j := 0; j < burst; j++ {
-			s.After(0, fn)
+			s.After(0, Func(fn))
 		}
 		s.Run()
 	}

@@ -80,13 +80,26 @@ const (
 	idxQueued    = -4 // queued in the calendar (bucket or overflow)
 )
 
-// event is a scheduled callback. Events with equal timestamps fire in the
+// Handler is a continuation the scheduler runs: an event's action, a
+// credit grant, a service completion. A model's pooled per-message object
+// implements it, so scheduling itself stores only the pointer and binds
+// no closure per message.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to a Handler. A func value is pointer
+// shaped, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled handler. Events with equal timestamps fire in the
 // order they were scheduled (FIFO), which keeps runs deterministic. Events
 // are recycled through the scheduler's eventPool, so callers never hold
 // one directly: they hold a Handle.
 type event struct {
 	at   Time
-	fn   func()
+	h    Handler
 	seq  uint64
 	idx  int    // one of the idx* state markers
 	next *event // bucket link while queued, free-list link while pooled
@@ -117,7 +130,7 @@ type Handle struct {
 // schedule events or mutate model state: the probe is a read-only tap.
 type Probe interface {
 	// EventFired is called after the clock advances to the event's
-	// timestamp, immediately before its callback runs.
+	// timestamp, immediately before its handler fires.
 	EventFired(at Time)
 }
 
@@ -153,7 +166,7 @@ const eventSlabSize = 256
 // eventPool recycles events. A fired event, and a cancelled one once its
 // queue has dropped it, goes on the free list; a new event takes one from
 // there before it carves the slab, so steady-state scheduling allocates
-// nothing. Every pooled event has a nil callback and so pins nothing.
+// nothing. Every pooled event has a nil handler and so pins nothing.
 type eventPool struct {
 	free *event
 	slab []event
@@ -172,7 +185,7 @@ func (p *eventPool) get() *event {
 	return e
 }
 
-// put returns a dead event (idxFired or idxCancelled, fn already nil).
+// put returns a dead event (idxFired or idxCancelled, h already nil).
 func (p *eventPool) put(e *event) {
 	e.next = p.free
 	p.free = e
@@ -198,31 +211,32 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // leftovers from a halted run included: they have not fired).
 func (s *Scheduler) Pending() int { return s.cq.live + s.stagedLive }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it
-// always indicates a model bug and silently clamping would hide it.
+// At schedules h to fire at absolute time t. Scheduling in the past
+// panics: it always indicates a model bug and silently clamping would hide
+// it.
 //
 //finepack:hotpath every simulated action schedules through At
-func (s *Scheduler) At(t Time, fn func()) Handle {
+func (s *Scheduler) At(t Time, h Handler) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
 	}
 	e := s.pool.get()
-	e.at, e.fn, e.seq = t, fn, s.seq
+	e.at, e.h, e.seq = t, h, s.seq
 	s.seq++
 	s.cq.push(e)
 	return Handle{e, e.seq}
 }
 
-// After schedules fn delay picoseconds from now.
-func (s *Scheduler) After(delay Time, fn func()) Handle {
-	return s.At(s.now+delay, fn)
+// After schedules h to fire delay picoseconds from now.
+func (s *Scheduler) After(delay Time, h Handler) Handle {
+	return s.At(s.now+delay, h)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event, through a stale handle, or through the zero
 // Handle is a no-op. The queue cancels lazily (the event becomes a
-// tombstone dropped, and recycled, at pop time), but the callback is
-// released immediately so a cancelled event never pins its captures. A
+// tombstone dropped, and recycled, at pop time), but the handler is
+// released immediately so a cancelled event never pins it. A
 // staged cohort sibling — popped in the same same-timestamp batch but not
 // yet fired — is cancelled too: batch popping must not make cancellation
 // able to miss.
@@ -234,11 +248,11 @@ func (s *Scheduler) Cancel(h Handle) {
 	switch {
 	case e.idx == idxQueued: // queued: tombstone
 		e.idx = idxCancelled
-		e.fn = nil
+		e.h = nil
 		s.cq.live--
 	case e.idx == idxStaged: // staged: the run loop skips and recycles it
 		e.idx = idxCancelled
-		e.fn = nil
+		e.h = nil
 		s.stagedLive--
 	}
 	// idxFired / idxCancelled: no-op.
@@ -343,13 +357,13 @@ func (s *Scheduler) run(deadline Time, budget uint64) (Time, error) {
 		if s.probe != nil {
 			s.probe.EventFired(next.at)
 		}
-		// Recycle the event before running its callback, so the events
-		// the callback schedules can reuse it. The callback is dropped
-		// from the pooled event; holding it would pin its captures.
-		fn := next.fn
-		next.fn = nil
+		// Recycle the event before firing its handler, so the events
+		// the handler schedules can reuse it. The handler is dropped
+		// from the pooled event; holding it would pin it.
+		h := next.h
+		next.h = nil
 		s.pool.put(next)
-		fn()
+		h.Fire()
 	}
 	if s.now > s.maxT {
 		s.maxT = s.now

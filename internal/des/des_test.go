@@ -11,9 +11,9 @@ import (
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
+	s.At(30, Func(func() { order = append(order, 3) }))
+	s.At(10, Func(func() { order = append(order, 1) }))
+	s.At(20, Func(func() { order = append(order, 2) }))
 	end := s.Run()
 	if end != 30 {
 		t.Fatalf("end time = %v, want 30", end)
@@ -28,7 +28,7 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { order = append(order, i) })
+		s.At(5, Func(func() { order = append(order, i) }))
 	}
 	s.Run()
 	for i, v := range order {
@@ -45,10 +45,10 @@ func TestSchedulerEventsScheduleMoreEvents(t *testing.T) {
 	step = func() {
 		count++
 		if count < 5 {
-			s.After(7, step)
+			s.After(7, Func(step))
 		}
 	}
-	s.After(7, step)
+	s.After(7, Func(step))
 	end := s.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -60,21 +60,21 @@ func TestSchedulerEventsScheduleMoreEvents(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(100, func() {
+	s.At(100, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		s.At(50, func() {})
-	})
+		s.At(50, Func(func() {}))
+	}))
 	s.Run()
 }
 
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := s.At(10, Func(func() { fired = true }))
 	s.Cancel(e)
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after cancel, want 0", s.Pending())
@@ -94,7 +94,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	events := make([]Handle, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		events = append(events, s.At(Time(i*10), func() { order = append(order, i) }))
+		events = append(events, s.At(Time(i*10), Func(func() { order = append(order, i) })))
 	}
 	s.Cancel(events[4])
 	s.Cancel(events[7])
@@ -115,7 +115,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.At(at, Func(func() { fired = append(fired, at) }))
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -133,8 +133,8 @@ func TestRunUntil(t *testing.T) {
 func TestHalt(t *testing.T) {
 	s := NewScheduler()
 	n := 0
-	s.At(1, func() { n++; s.Halt() })
-	s.At(2, func() { n++ })
+	s.At(1, Func(func() { n++; s.Halt() }))
+	s.At(2, Func(func() { n++ }))
 	s.Run()
 	if n != 1 {
 		t.Fatalf("events after halt ran: n = %d", n)
@@ -144,7 +144,7 @@ func TestHalt(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 7; i++ {
-		s.At(Time(i), func() {})
+		s.At(Time(i), Func(func() {}))
 	}
 	s.Run()
 	if s.Fired() != 7 {
@@ -159,7 +159,7 @@ func TestDeterministicOrderUnderRandomInsertion(t *testing.T) {
 		var fired []Time
 		for i := 0; i < 500; i++ {
 			at := Time(rng.Intn(100))
-			s.At(at, func() { fired = append(fired, at) })
+			s.At(at, Func(func() { fired = append(fired, at) }))
 		}
 		s.Run()
 		return fired
@@ -223,8 +223,8 @@ func TestServerFIFOAndUtilization(t *testing.T) {
 	s := NewScheduler()
 	srv := NewServer(s)
 	var done []int
-	srv.Request(100, func() { done = append(done, 1) })
-	srv.Request(50, func() { done = append(done, 2) })
+	srv.Request(100, Func(func() { done = append(done, 1) }))
+	srv.Request(50, Func(func() { done = append(done, 2) }))
 	if srv.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want 2", srv.QueueLen())
 	}
@@ -257,14 +257,14 @@ func TestServerReentrantRequestWithBacklog(t *testing.T) {
 			at = append(at, s.Now())
 		}
 	}
-	srv.Request(10, func() {
+	srv.Request(10, Func(func() {
 		finish("a")()
-		srv.Request(10, finish("c"))
+		srv.Request(10, Func(finish("c")))
 		if srv.QueueLen() != 2 {
 			t.Errorf("QueueLen after re-entry = %d, want 2 (b in service, c waiting)", srv.QueueLen())
 		}
-	})
-	srv.Request(10, finish("b"))
+	}))
+	srv.Request(10, Func(finish("b")))
 	end := s.Run()
 	if got := strings.Join(order, ","); got != "a,b,c" {
 		t.Fatalf("completion order = %s, want a,b,c", got)
@@ -281,7 +281,7 @@ func TestServerIdleGap(t *testing.T) {
 	s := NewScheduler()
 	srv := NewServer(s)
 	srv.Request(10, nil)
-	s.At(100, func() { srv.Request(10, nil) })
+	s.At(100, Func(func() { srv.Request(10, nil) }))
 	end := s.Run()
 	if end != 110 {
 		t.Fatalf("end = %v, want 110", end)
@@ -295,8 +295,8 @@ func TestTokenPoolBlocksUntilRelease(t *testing.T) {
 	s := NewScheduler()
 	p := NewTokenPool(s, 2)
 	got := []int{}
-	p.Acquire(2, func() { got = append(got, 1) })
-	p.Acquire(1, func() { got = append(got, 2) })
+	p.Acquire(2, Func(func() { got = append(got, 1) }))
+	p.Acquire(1, Func(func() { got = append(got, 2) }))
 	s.Run()
 	if len(got) != 1 {
 		t.Fatalf("second acquire should block: %v", got)
@@ -315,8 +315,8 @@ func TestTokenPoolFIFONoStarvation(t *testing.T) {
 	s := NewScheduler()
 	p := NewTokenPool(s, 0)
 	var got []int
-	p.Acquire(5, func() { got = append(got, 5) }) // big request first
-	p.Acquire(1, func() { got = append(got, 1) })
+	p.Acquire(5, Func(func() { got = append(got, 5) })) // big request first
+	p.Acquire(1, Func(func() { got = append(got, 1) }))
 	p.Release(1) // not enough for head-of-line
 	s.Run()
 	if len(got) != 0 {
@@ -336,7 +336,7 @@ func TestTokenPoolZeroAcquire(t *testing.T) {
 	s := NewScheduler()
 	p := NewTokenPool(s, 0)
 	ran := false
-	p.Acquire(0, func() { ran = true })
+	p.Acquire(0, Func(func() { ran = true }))
 	s.Run()
 	if !ran {
 		t.Fatal("zero-credit acquire should run immediately")
@@ -347,8 +347,8 @@ func TestRunBudgetExceeded(t *testing.T) {
 	s := NewScheduler()
 	// A self-perpetuating timer: the queue never drains.
 	var tick func()
-	tick = func() { s.After(Nanosecond, tick) }
-	s.After(0, tick)
+	tick = func() { s.After(Nanosecond, Func(tick)) }
+	s.After(0, Func(tick))
 	_, err := s.RunBudget(1000)
 	if err == nil {
 		t.Fatal("runaway event loop must exceed the budget")
@@ -365,7 +365,7 @@ func TestRunBudgetWithinBudget(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 0; i < 10; i++ {
-		s.After(Time(i)*Nanosecond, func() { count++ })
+		s.After(Time(i)*Nanosecond, Func(func() { count++ }))
 	}
 	end, err := s.RunBudget(1000)
 	if err != nil {
@@ -380,7 +380,7 @@ func TestRunBudgetZeroIsUnlimited(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 0; i < 100; i++ {
-		s.After(Time(i), func() { count++ })
+		s.After(Time(i), Func(func() { count++ }))
 	}
 	if _, err := s.RunBudget(0); err != nil {
 		t.Fatalf("zero budget must mean unlimited: %v", err)
@@ -395,13 +395,13 @@ func TestRunBudgetResetsPerCall(t *testing.T) {
 	// scheduler's lifetime.
 	s := NewScheduler()
 	for i := 0; i < 50; i++ {
-		s.After(Time(i), func() {})
+		s.After(Time(i), Func(func() {}))
 	}
 	if _, err := s.RunBudget(60); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		s.After(Time(i), func() {})
+		s.After(Time(i), Func(func() {}))
 	}
 	if _, err := s.RunBudget(60); err != nil {
 		t.Fatalf("second call inherited the first call's spend: %v", err)
@@ -438,15 +438,15 @@ func TestWaitQueuesReuseStorageUnderBacklog(t *testing.T) {
 		submit = func() {
 			id := next
 			next++
-			srv.Request(10, func() {
+			srv.Request(10, Func(func() {
 				served = append(served, id)
 				if next < total {
 					// From a fresh event, not from inside the completion:
 					// finishService starts the next request itself once
 					// the callback returns.
-					s.After(0, submit)
+					s.After(0, Func(submit))
 				}
-			})
+			}))
 			maxCap = max(maxCap, cap(srv.queue))
 		}
 		for i := 0; i < backlog; i++ {
@@ -465,13 +465,13 @@ func TestWaitQueuesReuseStorageUnderBacklog(t *testing.T) {
 		acquire = func() {
 			id := next
 			next++
-			p.Acquire(1, func() {
+			p.Acquire(1, Func(func() {
 				served = append(served, id)
-				s.After(10, func() { p.Release(1) })
+				s.After(10, Func(func() { p.Release(1) }))
 				if next < total {
 					acquire()
 				}
-			})
+			}))
 			maxCap = max(maxCap, cap(p.waiters))
 		}
 		for i := 0; i < backlog; i++ {
@@ -492,9 +492,9 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
 		s := NewScheduler()
 		nop := func() {}
-		firedOld := s.At(10, nop)
-		cancelledOld := s.At(20, func() { t.Error("cancelled event fired") })
-		s.At(30, nop) // the calendar drops the tombstone on its way here
+		firedOld := s.At(10, Func(nop))
+		cancelledOld := s.At(20, Func(func() { t.Error("cancelled event fired") }))
+		s.At(30, Func(nop)) // the calendar drops the tombstone on its way here
 		s.Cancel(cancelledOld)
 		s.Run()
 
@@ -502,7 +502,7 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 		n := 0
 		reused := map[*event]bool{}
 		for i := 0; i < 3; i++ {
-			reused[s.At(40, func() { n++ }).e] = true
+			reused[s.At(40, Func(func() { n++ })).e] = true
 		}
 		for _, old := range []Handle{firedOld, cancelledOld} {
 			if !reused[old.e] {

@@ -37,7 +37,7 @@ type oracleScheduler interface {
 type realScheduler struct{ *Scheduler }
 
 func (s realScheduler) schedule(at Time, fn func()) func() {
-	h := s.At(at, fn)
+	h := s.At(at, Func(fn))
 	return func() { s.Cancel(h) }
 }
 
@@ -564,7 +564,7 @@ func TestCalendarResizeStress(t *testing.T) {
 	const n = 6000 // > 4×1024, forces at least two doublings
 	fired := 0
 	for i := 0; i < n; i++ {
-		s.At(Time(rng.Intn(500_000)), func() { fired++ })
+		s.At(Time(rng.Intn(500_000)), Func(func() { fired++ }))
 	}
 	if s.Pending() != n {
 		t.Fatalf("Pending = %d, want %d", s.Pending(), n)

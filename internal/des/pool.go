@@ -9,15 +9,14 @@ package des
 // peak, wastes at most half of it, and one whose peak stays small costs a
 // single small slab.
 //
-// init, when non-nil, runs once per object, the first time it is handed
-// out. That is where an object binds its one callback, so the binding is
-// paid once per object, not per use. Put does not clear anything: the
-// caller drops the references a pooled object must not pin.
+// A pooled object carries no per-object callback: it is its own Handler,
+// and the caller sets whatever back-pointer it needs after Get. Put does
+// not clear anything: the caller drops the references a pooled object
+// must not pin. The zero Pool is empty and ready to use.
 type Pool[T any] struct {
 	free []*T
 	slab []T
 	made int
-	init func(*T)
 }
 
 // Slab sizes of a Pool, in objects.
@@ -25,12 +24,6 @@ const (
 	poolFirstSlab = 16
 	poolMaxSlab   = 256
 )
-
-// NewPool returns an empty pool whose objects are prepared by init (may
-// be nil).
-func NewPool[T any](init func(*T)) *Pool[T] {
-	return &Pool[T]{init: init}
-}
 
 // Get returns a recycled object, or a new one from the current slab.
 func (p *Pool[T]) Get() *T {
@@ -46,9 +39,6 @@ func (p *Pool[T]) Get() *T {
 	x := &p.slab[0]
 	p.slab = p.slab[1:]
 	p.made++
-	if p.init != nil {
-		p.init(x)
-	}
 	return x
 }
 

@@ -2,19 +2,19 @@ package des
 
 // Server models a unit-capacity resource with FIFO service, the building
 // block for link and port models: requests queue, each occupies the server
-// for a caller-provided service time, and a completion callback fires when
+// for a caller-provided service time, and a completion handler fires when
 // service finishes.
 //
-// The completion path is allocation-lean: one pre-bound finish closure is
-// created per Server (not per request), and the wait queue is a
-// head-compacted slice whose capacity is reused instead of slid away.
+// The completion path is allocation-free: the service end is scheduled
+// through the server itself (serverEnd), not a closure, and the wait
+// queue is a head-compacted slice whose capacity is reused instead of
+// slid away.
 type Server struct {
 	sched   *Scheduler
 	busy    bool
 	queue   []serverReq
 	qhead   int
-	curDone func() // completion callback of the request in service
-	finish  func() // cached bound method; scheduled once per service
+	curDone Handler // completion handler of the request in service
 	// Busy accumulates total occupied time, for utilization reporting.
 	Busy Time
 	// Served counts completed requests.
@@ -23,21 +23,23 @@ type Server struct {
 
 type serverReq struct {
 	service Time
-	done    func()
+	done    Handler
 }
 
+// serverEnd is the Server as the handler of its own service-end event.
+type serverEnd Server
+
+// Fire completes the request in service.
+func (e *serverEnd) Fire() { (*Server)(e).finishService() }
+
 // NewServer returns an idle server bound to sched.
-//
-//finepack:allow hotalloc -- the finish callback binds once at construction, exactly the pre-binding the rule asks for
 func NewServer(sched *Scheduler) *Server {
-	s := &Server{sched: sched}
-	s.finish = s.finishService
-	return s
+	return &Server{sched: sched}
 }
 
 // Request enqueues a job needing the given service time; done (may be nil)
 // fires at completion. Jobs are served in arrival order.
-func (s *Server) Request(service Time, done func()) {
+func (s *Server) Request(service Time, done Handler) {
 	s.queue, s.qhead = compact(s.queue, s.qhead)
 	s.queue = append(s.queue, serverReq{service: service, done: done})
 	if !s.busy {
@@ -70,26 +72,25 @@ func (s *Server) startNext() {
 		return
 	}
 	req := s.queue[s.qhead]
-	s.queue[s.qhead] = serverReq{} // release the done closure
+	s.queue[s.qhead] = serverReq{} // release the done handler
 	s.qhead++
 	s.busy = true
 	s.Busy += req.service
 	s.curDone = req.done
-	s.sched.After(req.service, s.finish)
+	s.sched.After(req.service, (*serverEnd)(s))
 }
 
-// finishService completes the in-service request: identical sequencing to
-// the per-request closure it replaced (busy cleared before the callback,
-// so a re-entrant Request starts service immediately). Such a Request has
-// already started the next job, so the backlog is served only if the
-// callback left the server idle.
+// finishService completes the in-service request: busy is cleared before
+// the done handler fires, so a re-entrant Request starts service
+// immediately. Such a Request has already started the next job, so the
+// backlog is served only if the handler left the server idle.
 func (s *Server) finishService() {
 	s.busy = false
 	s.Served++
 	done := s.curDone
 	s.curDone = nil
 	if done != nil {
-		done()
+		done.Fire()
 	}
 	if !s.busy {
 		s.startNext()
@@ -110,7 +111,7 @@ type TokenPool struct {
 
 type tokenWait struct {
 	n    int
-	cont func()
+	cont Handler
 }
 
 // NewTokenPool returns a pool holding n credits.
@@ -121,10 +122,10 @@ func NewTokenPool(sched *Scheduler, n int) *TokenPool {
 // Available returns the current credit count.
 func (p *TokenPool) Available() int { return p.credits }
 
-// Acquire takes n credits, calling cont once they are held. If credits are
-// available the continuation runs via a zero-delay event (never inline, so
-// callers cannot observe re-entrant state).
-func (p *TokenPool) Acquire(n int, cont func()) {
+// Acquire takes n credits, firing cont once they are held. If credits are
+// available the continuation fires via a zero-delay event (never inline,
+// so callers cannot observe re-entrant state).
+func (p *TokenPool) Acquire(n int, cont Handler) {
 	if n <= 0 {
 		p.sched.After(0, cont)
 		return

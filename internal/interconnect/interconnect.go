@@ -12,6 +12,7 @@ package interconnect
 
 import (
 	"fmt"
+	"math"
 
 	"finepack/internal/core"
 	"finepack/internal/des"
@@ -158,7 +159,7 @@ type Network struct {
 	deliveries    uint64           // watchdog progress counter
 	lastProgress  uint64
 	watchdogArmed bool
-	tick          func() // watchdogTick, bound once
+	tick          des.Handler // watchdogTick, bound once
 
 	// Replays counts retransmissions (one per Nak'd attempt),
 	// ReplayedBytes the wire bytes those retransmissions re-serialized,
@@ -175,10 +176,10 @@ type Network struct {
 	obs    Observer
 	hopObs HopObserver
 
-	// xfers recycles transfer pipelines (see xfer.go): Send is the
+	// xfers recycles transfer pipelines (see xfer.go): Transfer is the
 	// fabric's hottest entry point, and building a closure chain per
 	// packet dominated allocation profiles.
-	xfers *des.Pool[xfer]
+	xfers des.Pool[xfer]
 }
 
 // New builds the network on the given scheduler.
@@ -194,7 +195,6 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		sched:   sched,
 		perLink: make([]core.Bytes, cfg.NumGPUs*cfg.NumGPUs),
 	}
-	n.xfers = des.NewPool(func(x *xfer) { x.n, x.resume = n, x.step })
 	if cfg.Faults.Enabled() {
 		fi, err := faults.NewInjector(cfg.Faults)
 		if err != nil {
@@ -203,7 +203,7 @@ func New(sched *des.Scheduler, cfg Config) (*Network, error) {
 		n.fi = fi
 		n.cfg.Faults = fi.Config() // protocol knobs with defaults applied
 		n.linkErrors = make(map[string]uint64)
-		n.tick = n.watchdogTick
+		n.tick = des.Func(n.watchdogTick)
 		for i := 0; i < cfg.NumGPUs; i++ {
 			n.replaySlots = append(n.replaySlots,
 				des.NewTokenPool(sched, n.cfg.Faults.ReplayBufferDepth))
@@ -298,15 +298,28 @@ func addPort(ports []int32, l int32) []int32 {
 // (defaults substituted).
 func (n *Network) Config() Config { return n.cfg }
 
-// Send transmits wireBytes from src to dst; done (may be nil) fires when
-// the last byte arrives at the destination port. The message holds
+// Send is Transfer with a plain completion function (may be nil).
+func (n *Network) Send(src, dst int, wireBytes int, done func()) {
+	var h des.Handler
+	if done != nil {
+		h = des.Func(done)
+	}
+	n.Transfer(src, dst, wireBytes, h)
+}
+
+// Transfer transmits wireBytes from src to dst; done (may be nil) fires
+// when the last byte arrives at the destination port. The message holds
 // destination credits end to end and serializes through every link of
-// its route (see xfer.go).
+// its route (see xfer.go). A message above math.MaxInt32 bytes panics:
+// the pipeline carries sizes as int32.
 //
 //finepack:hotpath per-packet transfer pipeline entry
-func (n *Network) Send(src, dst int, wireBytes int, done func()) {
+func (n *Network) Transfer(src, dst int, wireBytes int, done des.Handler) {
 	if src == dst {
 		panic(fmt.Sprintf("interconnect: self-send on GPU %d", src))
+	}
+	if wireBytes > math.MaxInt32 {
+		panic(fmt.Sprintf("interconnect: %d-byte message exceeds the %d-byte limit", wireBytes, math.MaxInt32))
 	}
 	if wireBytes <= 0 {
 		wireBytes = 1
@@ -316,7 +329,8 @@ func (n *Network) Send(src, dst int, wireBytes int, done func()) {
 	n.perLink[src*n.cfg.NumGPUs+dst] += core.Bytes(wireBytes)
 
 	x := n.xfers.Get()
-	x.src, x.dst, x.wireBytes = src, dst, wireBytes
+	x.n = n
+	x.src, x.dst, x.wireBytes = int32(src), int32(dst), int32(wireBytes)
 	x.try, x.frac = 0, 1
 	x.start = n.sched.Now()
 	x.done = done

@@ -33,9 +33,9 @@ func runPattern(t *testing.T, cfg Config) fabricOutcome {
 		dst := (src + 1 + rng.Intn(cfg.NumGPUs-1)) % cfg.NumGPUs
 		size := 1 + rng.Intn(4096)
 		at := des.Time(rng.Intn(1000)) * des.Nanosecond
-		sched.At(at, func() {
+		sched.At(at, des.Func(func() {
 			n.Send(src, dst, size, func() { out.delivered[i] = sched.Now() })
-		})
+		}))
 	}
 	sched.Run()
 	for s := 0; s < cfg.NumGPUs; s++ {

@@ -21,11 +21,11 @@ package interconnect
 // dead-link and bandwidth checks run once per attempt at hop 0, and the
 // degraded fraction stretches every hop of that attempt.
 //
-// A message's state is one xfer from the network's pool. It binds one
-// callback, resume: a stage that waits on des (credits, a server, a
-// latency, a backoff) names the stage to run next and hands over resume,
-// so the scheduler sees the same calls, in the same order, as it would
-// with a callback per stage.
+// A message's state is one xfer from the network's pool, and the xfer is
+// its own des.Handler: a stage that waits on des (credits, a server, a
+// latency, a backoff) names the stage to run next and hands over the
+// xfer itself, so the scheduler sees the same calls, in the same order,
+// as it would with a callback per stage, and no message binds a closure.
 
 import (
 	"finepack/internal/core"
@@ -33,34 +33,32 @@ import (
 )
 
 // xfer carries one message through the pipeline. Its lifecycle is
-// strictly linear — at most one of its callbacks is pending in des at a
-// time — which lets its stages share one resume and lets a delivered
-// xfer go back to Network.xfers for the next message. Credit counts are
+// strictly linear — at most one of its stages is pending in des at a
+// time — which lets one Fire resume every stage and lets a delivered xfer
+// go back to Network.xfers for the next message. Credit counts are
 // recomputed from wireBytes where they are taken and returned rather
-// than stored, which keeps the struct small: a run makes one xfer per
-// message in flight at its peak.
+// than stored, and the counts and arena positions are int32, which keeps
+// the struct at 80 B: a run makes one xfer per message in flight at its
+// peak.
 type xfer struct {
 	n         *Network
-	src, dst  int
-	wireBytes int
+	src, dst  int32
+	wireBytes int32
 	// at indexes the current hop's link in the route arena, end the
 	// arena position just past the route's last hop.
-	at, end int
-	// frac is the bandwidth fraction of the current attempt, try the
-	// count of failed attempts before it.
+	at, end int32
+	// try counts the failed attempts before the current one, frac is its
+	// bandwidth fraction.
+	try      int32
 	frac     float64
-	try      int
 	start    des.Time
 	hopStart des.Time
-	done     func()
-
-	// resume is x.step, bound once per pooled xfer; next is the stage it
-	// runs.
-	resume func()
-	next   stage
+	done     des.Handler
+	// next is the stage Fire runs.
+	next stage
 }
 
-// stage names the step a pending resume runs.
+// stage names the step a pending Fire runs.
 type stage uint8
 
 const (
@@ -71,16 +69,16 @@ const (
 	stageArrived
 )
 
-// then returns the callback that resumes x at stage s.
-func (x *xfer) then(s stage) func() {
+// then parks x at stage s and returns it as the handler that resumes it.
+func (x *xfer) then(s stage) des.Handler {
 	x.next = s
-	return x.resume
+	return x
 }
 
-// step runs the stage x was parked at.
+// Fire runs the stage x was parked at.
 //
 //finepack:hotpath every stage of every message resumes here
-func (x *xfer) step() {
+func (x *xfer) Fire() {
 	switch x.next {
 	case stageReserve:
 		x.reserve()
@@ -104,7 +102,7 @@ func (x *xfer) attempt() {
 	n := x.n
 	if n.fi != nil {
 		now := n.sched.Now()
-		if n.fi.IsDown(x.src, x.dst, now) {
+		if n.fi.IsDown(int(x.src), int(x.dst), now) {
 			// The LTSSM reports the link down: nothing serializes, the
 			// replay timer expires without an Ack and the packet stays
 			// in the replay buffer.
@@ -112,10 +110,10 @@ func (x *xfer) attempt() {
 			return
 		}
 		// Lane down-training stretches serialization on the degraded link.
-		x.frac = n.fi.BandwidthFraction(x.src, x.dst, now)
+		x.frac = n.fi.BandwidthFraction(int(x.src), int(x.dst), now)
 	}
-	i := x.src*n.cfg.NumGPUs + x.dst
-	x.at, x.end = int(n.routeOff[i]), int(n.routeOff[i+1])
+	i := int(x.src)*n.cfg.NumGPUs + int(x.dst)
+	x.at, x.end = n.routeOff[i], n.routeOff[i+1]
 	x.enter()
 }
 
@@ -130,7 +128,7 @@ func (x *xfer) enter() {
 		x.serialize()
 		return
 	}
-	l.cred.Acquire(creditsFor(x.wireBytes, l.maxCredits), x.then(stageSerialize))
+	l.cred.Acquire(creditsFor(int(x.wireBytes), l.maxCredits), x.then(stageSerialize))
 }
 
 func (x *xfer) serialize() {
@@ -156,18 +154,18 @@ func (x *xfer) arrived() {
 	n := x.n
 	l := x.link()
 	if l.cred != nil {
-		l.cred.Release(creditsFor(x.wireBytes, l.maxCredits))
+		l.cred.Release(creditsFor(int(x.wireBytes), l.maxCredits))
 	}
 	l.bytes += core.Bytes(x.wireBytes)
 	l.packets++
 	if n.hopObs != nil {
-		n.hopObs.HopForwarded(int(n.routeArc[x.at]), x.src, x.dst, x.wireBytes, x.hopStart, n.sched.Now())
+		n.hopObs.HopForwarded(int(n.routeArc[x.at]), int(x.src), int(x.dst), int(x.wireBytes), x.hopStart, n.sched.Now())
 	}
 	if x.at++; x.at < x.end {
 		x.enter()
 		return
 	}
-	if n.fi != nil && n.fi.Corrupted(x.src, x.dst, x.wireBytes, n.sched.Now()) {
+	if n.fi != nil && n.fi.Corrupted(int(x.src), int(x.dst), int(x.wireBytes), n.sched.Now()) {
 		x.nak()
 		return
 	}
@@ -180,11 +178,11 @@ func (x *xfer) nak() {
 	n := x.n
 	n.Replays++
 	n.ReplayedBytes += core.Bytes(x.wireBytes)
-	n.linkErrors[linkName(x.src, x.dst)]++
+	n.linkErrors[linkName(int(x.src), int(x.dst))]++
 	if n.obs != nil {
-		n.obs.ReplayScheduled(x.src, x.dst, x.wireBytes, x.try, n.sched.Now())
+		n.obs.ReplayScheduled(int(x.src), int(x.dst), int(x.wireBytes), int(x.try), n.sched.Now())
 	}
-	n.sched.After(n.backoff(x.try), x.then(stageAttempt))
+	n.sched.After(n.backoff(int(x.try)), x.then(stageAttempt))
 	x.try++
 }
 
@@ -194,16 +192,16 @@ func (x *xfer) deliver() {
 	if n.fi != nil {
 		n.replaySlots[x.src].Release(1)
 	}
-	n.credits[x.dst].Release(n.destCredits(x.wireBytes))
+	n.credits[x.dst].Release(n.destCredits(int(x.wireBytes)))
 	n.deliveries++
 	n.inFlight--
 	if n.obs != nil {
-		n.obs.MessageDelivered(x.src, x.dst, x.wireBytes, x.start, n.sched.Now())
+		n.obs.MessageDelivered(int(x.src), int(x.dst), int(x.wireBytes), x.start, n.sched.Now())
 	}
 	done := x.done
 	x.done = nil
 	n.xfers.Put(x)
 	if done != nil {
-		done()
+		done.Fire()
 	}
 }

@@ -177,32 +177,31 @@ type IngressBuffer struct {
 	StoresDrained uint64
 	// ops recycles per-store ingress pipelines: Accept runs once per
 	// disaggregated store (the simulator's highest-frequency call site),
-	// and its acquire→drain→release chain resumes one callback bound per
-	// pooled op, so a steady stream allocates nothing.
-	ops *des.Pool[ingressOp]
+	// and each pooled op is the des.Handler of its own acquire→drain→
+	// release chain, so a steady stream allocates nothing.
+	ops des.Pool[ingressOp]
 }
 
 // ingressOp is one store's slot-acquire → drain → slot-release pipeline.
-// Its lifecycle is strictly linear, so it binds one callback, resume, and
-// draining tells resume which wait just ended. It is recycled on
-// completion.
+// Its lifecycle is strictly linear, so the op itself is the handler of
+// both waits, and draining tells Fire which one just ended. It is
+// recycled on completion.
 type ingressOp struct {
 	b        *IngressBuffer
 	slots    int
 	service  des.Time
-	done     func()
-	resume   func() // op.step
-	draining bool   // resume runs after the drain, not the slot acquire
+	done     des.Handler
+	draining bool // Fire runs after the drain, not the slot acquire
 }
 
-// step drains the store once its slots are held, then releases them.
+// Fire drains the store once its slots are held, then releases them.
 //
 //finepack:hotpath runs once per stage of every disaggregated store
-func (op *ingressOp) step() {
+func (op *ingressOp) Fire() {
 	b := op.b
 	if !op.draining {
 		op.draining = true
-		b.drain.Request(op.service, op.resume)
+		b.drain.Request(op.service, op)
 		return
 	}
 	b.slots.Release(op.slots)
@@ -211,7 +210,7 @@ func (op *ingressOp) step() {
 	op.done = nil
 	b.ops.Put(op)
 	if done != nil {
-		done()
+		done.Fire()
 	}
 }
 
@@ -228,32 +227,31 @@ func NewIngressBuffer(sched *des.Scheduler, entries int, drainBW float64) *Ingre
 	if entries <= 0 {
 		entries = DefaultIngressEntries
 	}
-	b := &IngressBuffer{
+	return &IngressBuffer{
 		sched:   sched,
 		slots:   des.NewTokenPool(sched, entries),
 		drain:   des.NewServer(sched),
 		DrainBW: drainBW,
 	}
-	b.ops = des.NewPool(func(op *ingressOp) { op.b, op.resume = b, op.step })
-	return b
 }
 
 // Accept ingests one disaggregated store: it occupies a slot until the
-// drain server has written it to local memory, then calls done (may be
+// drain server has written it to local memory, then fires done (may be
 // nil). Stores spanning line boundaries occupy one slot per line.
 //
 //finepack:hotpath runs once per disaggregated store at the destination
-func (b *IngressBuffer) Accept(s core.Store, done func()) {
+func (b *IngressBuffer) Accept(s core.Store, done des.Handler) {
 	slots := 1
 	if core.LineAddr(s.Addr) != core.LineAddr(s.Addr+uint64(s.Size)-1) {
 		slots = 2
 	}
 	op := b.ops.Get()
+	op.b = b
 	op.slots = slots
 	op.service = des.DurationForBytes(uint64(s.Size), b.DrainBW)
 	op.done = done
 	op.draining = false
-	b.slots.Acquire(slots, op.resume)
+	b.slots.Acquire(slots, op)
 }
 
 // FreeSlots returns the currently available slot count.

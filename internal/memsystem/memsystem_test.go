@@ -174,7 +174,7 @@ func TestIngressBufferDrains(t *testing.T) {
 	b := NewIngressBuffer(sched, 4, 900e9)
 	done := 0
 	for i := 0; i < 10; i++ {
-		b.Accept(core.Store{Addr: uint64(i * 128), Size: 64}, func() { done++ })
+		b.Accept(core.Store{Addr: uint64(i * 128), Size: 64}, des.Func(func() { done++ }))
 	}
 	sched.Run()
 	if done != 10 {
@@ -194,9 +194,9 @@ func TestIngressBufferBackPressure(t *testing.T) {
 	b := NewIngressBuffer(sched, 1, 1e6) // 1 MB/s
 	var times []des.Time
 	for i := 0; i < 2; i++ {
-		b.Accept(core.Store{Addr: uint64(i * 256), Size: 100}, func() {
+		b.Accept(core.Store{Addr: uint64(i * 256), Size: 100}, des.Func(func() {
 			times = append(times, sched.Now())
-		})
+		}))
 	}
 	sched.Run()
 	if len(times) != 2 {
@@ -211,7 +211,7 @@ func TestIngressBufferStraddlingStoreUsesTwoSlots(t *testing.T) {
 	sched := des.NewScheduler()
 	b := NewIngressBuffer(sched, 2, 1e6)
 	drained := false
-	b.Accept(core.Store{Addr: 120, Size: 16}, func() { drained = true })
+	b.Accept(core.Store{Addr: 120, Size: 16}, des.Func(func() { drained = true }))
 	// Both slots held while draining.
 	sched.RunUntil(1)
 	if b.FreeSlots() != 0 {
@@ -229,4 +229,58 @@ func TestIngressBufferDefaultEntries(t *testing.T) {
 	if b.FreeSlots() != DefaultIngressEntries {
 		t.Fatalf("default entries = %d, want %d", b.FreeSlots(), DefaultIngressEntries)
 	}
+}
+
+// drainCounter counts completed stores: a Handler with no closure, the
+// way the simulator's ingest ops complete.
+type drainCounter struct{ n int }
+
+func (c *drainCounter) Fire() { c.n++ }
+
+// acceptBurst accepts stores stores — every eighth one straddling a line,
+// so it takes two slots — into b, more than its slots hold, and drains
+// them.
+func acceptBurst(sched *des.Scheduler, b *IngressBuffer, stores int, done *drainCounter) {
+	for i := 0; i < stores; i++ {
+		addr := uint64(i) * 128
+		if i%8 == 7 {
+			addr += 120
+		}
+		b.Accept(core.Store{Addr: addr, Size: 16}, done)
+	}
+	sched.Run()
+}
+
+// TestIngressAcceptWarmAllocFree: once a burst's ops, events and wait
+// queues have been made, accepting and draining the same burst again
+// allocates nothing.
+func TestIngressAcceptWarmAllocFree(t *testing.T) {
+	sched := des.NewScheduler()
+	b := NewIngressBuffer(sched, DefaultIngressEntries, 900e9)
+	var done drainCounter
+	acceptBurst(sched, b, 256, &done)
+	if n := testing.AllocsPerRun(20, func() { acceptBurst(sched, b, 256, &done) }); n != 0 {
+		t.Fatalf("a warm 256-store burst allocates %.1f times, want 0", n)
+	}
+	// The warm-up burst, AllocsPerRun's own warm-up run and its 20 runs.
+	if want := 22 * 256; done.n != want || b.StoresDrained != uint64(want) {
+		t.Fatalf("drained %d stores (StoresDrained %d), want %d", done.n, b.StoresDrained, want)
+	}
+}
+
+// BenchmarkIngressAccept measures the de-packetizer ingress path per
+// store: the slot acquire, the drain service and the slot release, each
+// through the scheduler, for a burst that overfills the buffer.
+func BenchmarkIngressAccept(b *testing.B) {
+	const burst = 256
+	sched := des.NewScheduler()
+	buf := NewIngressBuffer(sched, DefaultIngressEntries, 900e9)
+	var done drainCounter
+	acceptBurst(sched, buf, burst, &done) // warm-up: ops, events, queues
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acceptBurst(sched, buf, burst, &done)
+	}
+	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "stores/s")
 }

@@ -43,52 +43,62 @@ type sender struct {
 	// obs, when non-nil, records each emitted packet (flush instant with
 	// its trigger cause) for the observability layer.
 	obs *obs.Recorder
-	// ingest consumes a delivered packet at the destination and calls
-	// its completion callback once the disaggregated stores have drained
+	// ingest consumes a delivered packet at the destination and fires
+	// its completion handler once the disaggregated stores have drained
 	// into the local memory system. Nil skips ingress modeling.
-	ingest func(*core.Packet, func())
-	// completeFn caches the complete method value so the per-packet
-	// delivery path never re-binds it; ops recycles delivery callbacks
-	// (see sendOp).
-	completeFn func()
-	ops        *des.Pool[sendOp]
+	ingest func(*core.Packet, des.Handler)
+	// ops recycles the in-flight messages' delivery handlers (see
+	// sendOp).
+	ops des.Pool[sendOp]
 	// slab carves sendPlain's packets and their store bytes; plainBytes
 	// counts the store bytes sendPlain has sent, for Result.DataBytes.
 	slab       core.PacketSlab
 	plainBytes core.Bytes
 }
 
-// newSender returns GPU src's sender, its pooled delivery callbacks bound
-// to it.
+// newSender returns GPU src's sender.
 func newSender(sched *des.Scheduler, net *interconnect.Network, src int, rec *obs.Recorder) *sender {
-	s := &sender{sched: sched, net: net, src: src, obs: rec}
-	s.completeFn = s.complete
-	s.ops = des.NewPool(func(op *sendOp) { op.s, op.fire = s, op.delivered })
-	return s
+	return &sender{sched: sched, net: net, src: src, obs: rec}
 }
 
-// sendOp is one in-flight message's delivery callback, bound once per
-// pooled op: send/transmit are per-packet hot paths and a fresh closure
-// per message dominated allocation profiles. p is nil for raw transfers.
+// sendOp is one in-flight message and the handler of its delivery, taken
+// from the sender's pool: send/transmit are per-packet hot paths and a
+// fresh closure per message dominated allocation profiles. p is nil for
+// raw transfers.
 type sendOp struct {
-	s    *sender
-	p    *core.Packet
-	fire func() // op.delivered
+	s *sender
+	p *core.Packet
 }
 
-// delivered recycles the op and retires its message: a packet passes
-// through destination ingest first, when modeled.
+// Fire recycles the op and retires its delivered message: a packet
+// passes through destination ingest first, when modeled.
 //
 //finepack:hotpath every delivered message retires here
-func (op *sendOp) delivered() {
+func (op *sendOp) Fire() {
 	s, p := op.s, op.p
 	op.p = nil
 	s.ops.Put(op)
 	if p != nil && s.ingest != nil {
-		s.ingest(p, s.completeFn)
+		s.ingest(p, (*completion)(s))
 		return
 	}
 	s.complete()
+}
+
+// completion is a sender as the handler that retires one of its messages
+// once destination ingest has drained it.
+type completion sender
+
+// Fire retires the message.
+func (c *completion) Fire() { (*sender)(c).complete() }
+
+// transfer sends wireBytes to dst as one pooled op carrying p (nil for a
+// raw transfer).
+func (s *sender) transfer(dst, wireBytes int, p *core.Packet) {
+	s.outstanding++
+	op := s.ops.Get()
+	op.s, op.p = s, p
+	s.net.Transfer(s.src, dst, wireBytes, op)
 }
 
 //finepack:hotpath egress: every emitted packet passes through here
@@ -97,20 +107,14 @@ func (s *sender) send(p *core.Packet) {
 		s.obs.PacketEmitted(s.src, p.Dst, p.Cause.String(),
 			p.StoresMerged, len(p.Subs), p.WireBytes, s.sched.Now())
 	}
-	s.outstanding++
-	op := s.ops.Get()
-	op.p = p
-	s.net.Send(s.src, p.Dst, p.WireBytes, op.fire)
+	s.transfer(p.Dst, p.WireBytes, p)
 }
 
 // transmit moves raw wire bytes toward dst under the outstanding/drain
 // bookkeeping, bypassing packet ingestion.
 //
 //finepack:hotpath egress for the non-packetized paradigms
-func (s *sender) transmit(dst, wireBytes int) {
-	s.outstanding++
-	s.net.Send(s.src, dst, wireBytes, s.ops.Get().fire)
-}
+func (s *sender) transmit(dst, wireBytes int) { s.transfer(dst, wireBytes, nil) }
 
 // sendPlain sends one store as its own plain write packet.
 //
@@ -140,7 +144,7 @@ func (s *sender) complete() {
 
 func (s *sender) drain(done func()) {
 	if s.outstanding == 0 {
-		s.sched.After(0, done)
+		s.sched.After(0, des.Func(done))
 		return
 	}
 	if s.pendingDone != nil {
@@ -177,7 +181,7 @@ type fpEgress struct {
 	s       *sender
 	timeout des.Time
 	timer   des.Handle
-	onIdle  func() // timeout-flush callback, bound once (re-armed per store)
+	onIdle  des.Handler // timeout flush, bound once (re-armed per store)
 }
 
 func newFPEgress(cfg core.Config, timeout des.Time, s *sender) (*fpEgress, error) {
@@ -186,7 +190,7 @@ func newFPEgress(cfg core.Config, timeout des.Time, s *sender) (*fpEgress, error
 		return nil, err
 	}
 	e := &fpEgress{q: q, s: s, timeout: timeout}
-	e.onIdle = func() { e.q.FlushAll(core.CauseTimeout) }
+	e.onIdle = des.Func(func() { e.q.FlushAll(core.CauseTimeout) })
 	return e, nil
 }
 
@@ -329,9 +333,9 @@ func (e *umEgress) flush(done func()) {
 			cursor += e.faultLat
 			_, wire := e.cfg.TLP.TLPsForTransfer(e.pageBytes, e.cfg.MaxPayload)
 			e.PagesMigrated++
-			e.s.sched.At(cursor, func() {
+			e.s.sched.At(cursor, des.Func(func() {
 				e.s.transmit(dst, int(wire))
-			})
+			}))
 		}
 		e.pageOrder[dst] = nil
 	}
@@ -339,7 +343,7 @@ func (e *umEgress) flush(done func()) {
 	// Drain completes only after the last scheduled migration lands; the
 	// sender's outstanding counter covers the in-flight ones, but none
 	// may have been scheduled yet — wait past the last issue time.
-	e.s.sched.At(cursor, func() { e.s.drain(done) })
+	e.s.sched.At(cursor, des.Func(func() { e.s.drain(done) }))
 }
 
 func (e *umEgress) accumulate(r *Result) {

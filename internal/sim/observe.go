@@ -63,13 +63,17 @@ func (r *runner) startSampler() {
 	if n := r.net.NumEdges(); n > 0 {
 		s.prevEdge = make([]des.Time, n)
 	}
-	r.sched.After(s.every, s.tick)
+	s.fire = des.Func(s.tick)
+	r.sched.After(s.every, s.fire)
 }
 
 // sampler holds the previous-tick port busy totals so each sample reports
-// windowed (not cumulative) utilization.
+// windowed (not cumulative) utilization. Its ticks are scheduled through
+// fire, bound once: a tick's samples allocate (series names at first use,
+// growing series), which keeps it off the per-event allocation contract.
 type sampler struct {
 	r           *runner
+	fire        des.Handler // des.Func(s.tick)
 	every       des.Time
 	prevEgress  []des.Time
 	prevIngress []des.Time
@@ -103,6 +107,6 @@ func (s *sampler) tick() {
 	}
 	r.obsRec.SampleSchedulerEvents(now, r.sched.Fired())
 	if r.sched.Pending() > 0 {
-		r.sched.After(s.every, s.tick)
+		r.sched.After(s.every, s.fire)
 	}
 }

@@ -215,12 +215,13 @@ type runner struct {
 	// The store paradigms' barrier for the window being replayed: its
 	// iteration, the kernels still running and GPUs still draining, and
 	// the latest kernel end + barrier latency and delivery so far.
-	// drainedFn and nextIterFn are r.gpuDrained and r.nextIteration,
+	// drainedFn and nextIter are r.gpuDrained and r.nextIteration,
 	// bound once in setup.
-	iter                  int
-	kernels, drains       int
-	barrierAt, drainsAt   des.Time
-	drainedFn, nextIterFn func()
+	iter                int
+	kernels, drains     int
+	barrierAt, drainsAt des.Time
+	drainedFn           func()
+	nextIter            des.Handler
 	// graph is the multi-hop topology (nil on the flat fabric), used to
 	// classify endpoint pairs for the intra/inter-node result splits.
 	graph *topo.Graph
@@ -243,7 +244,12 @@ type runner struct {
 	// Destination de-packetizer buffers (store paradigms, non-UM) and the
 	// recycled per-packet ingest pipelines feeding them.
 	ingress []*memsystem.IngressBuffer
-	ingests *des.Pool[ingestOp]
+	ingests des.Pool[ingestOp]
+
+	// copiers issue each GPU's copies under the memcpy paradigms (nil
+	// for the others), one pooled copyChunk per chunk in flight.
+	copiers []copier
+	chunks  des.Pool[copyChunk]
 
 	finished bool
 	endTime  des.Time
@@ -271,11 +277,17 @@ func (r *runner) storeParadigm() bool {
 
 func (r *runner) setup() error {
 	if !r.storeParadigm() {
+		if r.par != RemoteRead {
+			r.copiers = make([]copier, r.meta.NumGPUs)
+			for g := range r.copiers {
+				r.copiers[g] = copier{r: r, g: g}
+			}
+		}
 		return nil
 	}
 	r.trackers = memsystem.NewByteTrackers(r.meta.NumGPUs * r.meta.NumGPUs)
 	r.emitters = make([]emitter, r.meta.NumGPUs)
-	r.drainedFn, r.nextIterFn = r.gpuDrained, r.nextIteration
+	r.drainedFn, r.nextIter = r.gpuDrained, des.Func(r.nextIteration)
 
 	// Destination-side de-packetizer ingress buffers, shared by all
 	// senders targeting a GPU. UM transfers whole pages outside the
@@ -289,9 +301,6 @@ func (r *runner) setup() error {
 		}
 	}
 	r.ingress = ingress
-	if ingress != nil {
-		r.ingests = des.NewPool(func(op *ingestOp) { op.r, op.storeDone = r, op.storeDrained })
-	}
 	for g := 0; g < r.meta.NumGPUs; g++ {
 		s := newSender(r.sched, r.net, g, r.obsRec)
 		if ingress != nil {
@@ -318,32 +327,32 @@ func (r *runner) setup() error {
 		}
 		em := &r.emitters[g]
 		em.r, em.g, em.e = r, g, e
-		em.onBatch, em.onEnd = em.batch, em.end
+		em.onEnd = des.Func(em.end)
 	}
 	return nil
 }
 
 // ingestOp tracks one delivered packet's stores through the destination's
-// de-packetizer buffer. The stores slice and the single drain callback are
-// reused across packets: the old path allocated a store slice plus one
-// closure per disaggregated store, which dominated end-to-end allocation
-// profiles. Completion is positional — the ingress buffer's slot pool and
-// drain server are both strictly FIFO, so one packet's stores drain in
-// acceptance order even when packets interleave on the buffer.
+// de-packetizer buffer, and is the handler each of them fires once
+// drained. The stores slice is reused across packets: the old path
+// allocated a store slice plus one closure per disaggregated store, which
+// dominated end-to-end allocation profiles. Completion is positional —
+// the ingress buffer's slot pool and drain server are both strictly FIFO,
+// so one packet's stores drain in acceptance order even when packets
+// interleave on the buffer.
 type ingestOp struct {
 	r         *runner
 	stores    []core.Store
 	pos       int
 	remaining int
-	done      func()
-	storeDone func() // op.storeDrained, bound once per pooled op
+	done      des.Handler
 }
 
-// storeDrained retires one of the op's stores; the last one recycles the
-// op and completes the packet.
+// Fire retires one of the op's stores, drained; the last one recycles
+// the op and completes the packet.
 //
 //finepack:hotpath runs once per disaggregated store at the destination
-func (op *ingestOp) storeDrained() {
+func (op *ingestOp) Fire() {
 	r := op.r
 	if r.actMem != nil {
 		st := op.stores[op.pos]
@@ -358,7 +367,7 @@ func (op *ingestOp) storeDrained() {
 		op.stores = op.stores[:0]
 		op.pos = 0
 		r.ingests.Put(op)
-		done()
+		done.Fire()
 	}
 }
 
@@ -367,8 +376,9 @@ func (op *ingestOp) storeDrained() {
 // after the last store lands (writing actMem when data checking is on).
 //
 //finepack:hotpath ingress: every delivered packet passes through here
-func (r *runner) ingest(p *core.Packet, done func()) {
+func (r *runner) ingest(p *core.Packet, done des.Handler) {
 	op := r.ingests.Get()
+	op.r = r
 	op.stores = core.DepacketizeAppend(op.stores[:0], p)
 	if len(op.stores) == 0 {
 		op.stores = op.stores[:0]
@@ -381,7 +391,7 @@ func (r *runner) ingest(p *core.Packet, done func()) {
 	op.done = done
 	buf := r.ingress[p.Dst]
 	for _, st := range op.stores {
-		buf.Accept(st, op.storeDone)
+		buf.Accept(st, op)
 	}
 }
 
@@ -466,7 +476,7 @@ func (r *runner) startIteration(i int) {
 	gpuDone := func() {
 		remaining--
 		if remaining == 0 {
-			r.sched.After(r.cfg.BarrierLatency, func() { r.startIteration(i + 1) })
+			r.sched.After(r.cfg.BarrierLatency, des.Func(func() { r.startIteration(i + 1) }))
 		}
 	}
 	for g := 0; g < r.meta.NumGPUs; g++ {
@@ -517,7 +527,7 @@ func (r *runner) maybeNext() {
 	if r.drainsAt > at {
 		at = r.drainsAt
 	}
-	r.sched.At(at, r.nextIterFn)
+	r.sched.At(at, r.nextIter)
 }
 
 func (r *runner) nextIteration() { r.startIteration(r.iter + 1) }
@@ -570,20 +580,20 @@ func (r *runner) scheduleReads(g, iter int, t0 des.Time, done func()) {
 		bytes := n * lineWire
 		r.res.DataBytes += core.Bytes(n) * 128
 		outstanding++
-		r.sched.At(t0, func() {
+		r.sched.At(t0, des.Func(func() {
 			r.net.Send(src, g, bytes, func() {
 				outstanding--
 				maybeDone()
 			})
-		})
+		}))
 	}
 	// The kernel retires once compute plus the exposed read stalls have
 	// elapsed; the barrier additionally waits for reply traffic.
 	outstanding++
-	r.sched.At(t0+tc+stall, func() {
+	r.sched.At(t0+tc+stall, des.Func(func() {
 		outstanding--
 		maybeDone()
-	})
+	}))
 	issued = true
 }
 
@@ -635,55 +645,80 @@ func (r *runner) readLines(iter, g int) []int {
 }
 
 // scheduleCopies schedules one GPU's kernel under the memcpy paradigms:
-// compute, then issue copies serially through the software stack; the
-// barrier waits for delivery.
+// compute, then issue copies serially through the software stack (see
+// copier); the barrier waits for delivery.
 func (r *runner) scheduleCopies(g int, w trace.GPUWork, t0 des.Time, done func()) {
-	tc := r.cfg.Compute.Duration(w.ComputeOps)
-	r.sched.At(t0+tc, func() {
-		if len(w.Copies) == 0 {
-			done()
-			return
+	c := &r.copiers[g]
+	c.copies, c.done = w.Copies, done
+	r.sched.At(t0+r.cfg.Compute.Duration(w.ComputeOps), c)
+}
+
+// copyChunkBytes is a DMA chunk: engines pipeline a copy across the
+// fabric in chunks (the hardware moves max-payload TLPs back to back; a
+// whole copy is not store-and-forwarded at each hop).
+const copyChunkBytes = 64 << 10
+
+// copier issues one GPU's copies for the window being replayed and
+// retires the GPU once every chunk is delivered. Windows are
+// barrier-separated, so one copier per GPU serves every window; it is the
+// handler of its kernel-end event.
+type copier struct {
+	r           *runner
+	g           int
+	copies      []trace.Copy
+	outstanding int
+	done        func()
+}
+
+// Fire runs at kernel end: it issues each copy's chunks one API overhead
+// after the previous copy (none under Infinite), each through a pooled
+// copyChunk.
+func (c *copier) Fire() {
+	r := c.r
+	api := r.cfg.DMAAPIOverhead
+	if r.par == Infinite {
+		api = 0
+	}
+	cursor := r.sched.Now()
+	for _, cp := range c.copies {
+		cursor += api
+		tlps, wire := r.cfg.FinePack.TLP.TLPsForTransfer(int(cp.Bytes), r.cfg.FinePack.MaxPayload)
+		r.dmaTLPs += uint64(tlps)
+		r.res.DataBytes += cp.Bytes
+		r.addUseful(c.g, cp.Dst, cp.UsefulBytes)
+		for off := uint64(0); off < wire; off += copyChunkBytes {
+			k := r.chunks.Get()
+			k.c, k.dst, k.bytes, k.sent = c, cp.Dst, int(min(wire-off, copyChunkBytes)), false
+			c.outstanding++
+			r.sched.At(cursor, k)
 		}
-		api := r.cfg.DMAAPIOverhead
-		if r.par == Infinite {
-			api = 0
-		}
-		// DMA engines pipeline a copy across the fabric in chunks (the
-		// hardware moves max-payload TLPs back to back; a whole copy is
-		// not store-and-forwarded at each hop).
-		const chunkBytes = 64 << 10
-		outstanding := 0
-		issued := false
-		maybeDone := func() {
-			if issued && outstanding == 0 {
-				done()
-			}
-		}
-		cursor := r.sched.Now()
-		for _, c := range w.Copies {
-			c := c
-			cursor += api
-			tlps, wire := r.cfg.FinePack.TLP.TLPsForTransfer(int(c.Bytes), r.cfg.FinePack.MaxPayload)
-			r.dmaTLPs += uint64(tlps)
-			r.res.DataBytes += c.Bytes
-			r.addUseful(g, c.Dst, c.UsefulBytes)
-			for off := uint64(0); off < wire; off += chunkBytes {
-				n := wire - off
-				if n > chunkBytes {
-					n = chunkBytes
-				}
-				outstanding++
-				r.sched.At(cursor, func() {
-					r.net.Send(g, c.Dst, int(n), func() {
-						outstanding--
-						maybeDone()
-					})
-				})
-			}
-		}
-		issued = true
-		maybeDone()
-	})
+	}
+	if c.outstanding == 0 {
+		c.done()
+	}
+}
+
+// copyChunk is one DMA chunk in flight and the handler of both of its
+// events: its issue at the copy's cursor, then its delivery.
+type copyChunk struct {
+	c          *copier
+	dst, bytes int
+	sent       bool // Fire runs at delivery, not at issue
+}
+
+// Fire sends the chunk at its issue time; at its delivery it recycles the
+// chunk and retires the GPU once its last chunk has landed.
+func (k *copyChunk) Fire() {
+	c := k.c
+	if !k.sent {
+		k.sent = true
+		c.r.net.Transfer(c.g, k.dst, k.bytes, k)
+		return
+	}
+	c.r.chunks.Put(k)
+	if c.outstanding--; c.outstanding == 0 {
+		c.done()
+	}
 }
 
 // scheduleStores spreads the kernel's store stream across its compute time
@@ -702,26 +737,36 @@ func (r *runner) scheduleStores(g int, w trace.GPUWork, t0 des.Time, tc des.Time
 		// Batch b is produced at fraction b/batches of the kernel: stores
 		// stream out across execution, leaving the final tc/batches for
 		// the transport to drain before the kernel-end flush.
-		r.sched.At(t0+tc*des.Time(b)/des.Time(em.batches), em.onBatch)
+		r.sched.At(t0+tc*des.Time(b)/des.Time(em.batches), (*emitBatch)(em))
 	}
 	r.sched.At(t0+tc, em.onEnd)
 }
 
 // emitter replays one GPU's store stream for the window being replayed:
-// batch runs once per emission batch and end once at kernel end, both
-// scheduled through method values bound once per run in setup. Windows
+// batch runs once per emission batch, scheduled through the emitter
+// itself (emitBatch), and end once at kernel end, through onEnd. Windows
 // are barrier-separated (startIteration pulls the next one only after
 // the previous one drained), so no two windows share an emitter. Batches
 // fire in batch order, equal timestamps included (the scheduler breaks
 // ties by scheduling order), so a cursor names the next one.
 type emitter struct {
-	r              *runner
-	g              int
-	e              egress
-	stores         []gpusim.WarpStore
-	batches, next  int
-	onBatch, onEnd func() // em.batch, em.end
+	r             *runner
+	g             int
+	e             egress
+	stores        []gpusim.WarpStore
+	batches, next int
+	// onEnd is des.Func(em.end), bound once in setup: end runs once per
+	// kernel, and the flush and barrier work behind it allocate per
+	// window (UM's page plan, a memory-check error), which keeps it off
+	// the per-event allocation contract that batch is held to.
+	onEnd des.Handler
 }
+
+// emitBatch is an emitter as the handler of its batch events.
+type emitBatch emitter
+
+// Fire emits the next batch.
+func (b *emitBatch) Fire() { (*emitter)(b).batch() }
 
 // batch emits the next batch of the window's stores through the GPU's
 // coalescer and egress engine.
