@@ -20,15 +20,22 @@ ci: build vet fmt lint
 	$(MAKE) serve-smoke
 	$(MAKE) crash-smoke
 
-fuzz-smoke:
-	go test -run='^$$' -fuzz=FuzzDecodePacket -fuzztime=10s ./internal/core
-	go test -run='^$$' -fuzz=FuzzQueueWrite -fuzztime=10s ./internal/core
-	go test -run='^$$' -fuzz=FuzzTopoSpec -fuzztime=10s ./internal/topo
-	go test -run='^$$' -fuzz=FuzzTrainSpec -fuzztime=10s ./internal/collective
-	go test -run='^$$' -fuzz=FuzzReader -fuzztime=10s ./internal/tracestream
-	go test -run='^$$' -fuzz=FuzzProfile -fuzztime=10s ./internal/tracestream
-	go test -run='^$$' -fuzz=FuzzFromEdgeList -fuzztime=10s ./internal/datasets
-	go test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=10s ./internal/serve
+# Every fuzz target, as package:Fuzzer. fuzz-smoke (the CI step) runs
+# each for 10 s, fuzz for 30 s.
+FUZZERS := \
+	./internal/core:FuzzDecodePacket \
+	./internal/core:FuzzQueueWrite \
+	./internal/topo:FuzzTopoSpec \
+	./internal/collective:FuzzTrainSpec \
+	./internal/tracestream:FuzzReader \
+	./internal/tracestream:FuzzProfile \
+	./internal/datasets:FuzzFromEdgeList \
+	./internal/serve:FuzzJobSpec
+
+fuzz-smoke fuzz:
+	for t in $(FUZZERS); do \
+		go test -run='^$$' -fuzz="$${t#*:}" -fuzztime=$(if $(filter fuzz,$@),30s,10s) "$${t%%:*}" || exit 1; \
+	done
 
 # End-to-end observability smoke: one tiny instrumented run through the
 # CLI. The observe verb validates its own artifacts before writing (the
@@ -154,16 +161,6 @@ bench-compare:
 	go run ./cmd/benchjson -compare -gate $(BENCH_GATES) -max-regress-pct 10 \
 		$(BENCH_BASELINE) .bench/gate.json
 	rm -rf .bench
-
-fuzz:
-	go test -fuzz=FuzzDecodePacket -fuzztime=30s ./internal/core/
-	go test -fuzz=FuzzQueueWrite -fuzztime=30s ./internal/core/
-	go test -fuzz=FuzzFromEdgeList -fuzztime=30s ./internal/datasets/
-	go test -fuzz=FuzzReader -fuzztime=30s ./internal/tracestream/
-	go test -fuzz=FuzzProfile -fuzztime=30s ./internal/tracestream/
-	go test -fuzz=FuzzTopoSpec -fuzztime=30s ./internal/topo/
-	go test -fuzz=FuzzTrainSpec -fuzztime=30s ./internal/collective/
-	go test -fuzz=FuzzJobSpec -fuzztime=30s ./internal/serve/
 
 # Regenerate the checked-in artifacts under docs/.
 figures:

@@ -545,7 +545,7 @@ func BenchmarkMultiHopAllReduce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.RunSource(src, sim.FinePack, cfg)
+		res, err := sim.RunSourceObserved(src, sim.FinePack, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -622,7 +622,7 @@ func BenchmarkStreamedSSSP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.RunSource(f.Source(), sim.FinePack, cfg)
+		res, err := sim.RunSourceObserved(f.Source(), sim.FinePack, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -707,7 +707,7 @@ func TestStreamedMemoryCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunSource(f.Source(), sim.FinePack, sim.DefaultConfig())
+	res, err := sim.RunSourceObserved(f.Source(), sim.FinePack, sim.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

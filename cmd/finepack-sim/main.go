@@ -3,11 +3,14 @@
 //
 //	finepack-sim [flags] <experiment>
 //
-// Experiments: fig2 fig4 fig9 fig10 fig11 fig12 fig13 tab2 alt-design wc
-// gps scale16 ber-sweep observe all
+// The figure and table verbs are the entries of the experiments index
+// (experiments.Experiments); observe, stream, topo-crossover and
+// collective take their inputs from flags; report and all walk the index.
+// `finepack-sim -h` lists every verb.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -155,8 +158,9 @@ func parseDegrade(spec string) (faults.Degradation, error) {
 	return d, nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: finepack-sim [flags] <experiment>
+// usageText heads the -h output. It is written by hand, so
+// TestUsageMatchesDispatch checks it names exactly the verbs run knows.
+const usageText = `usage: finepack-sim [flags] <experiment>
 
 experiments:
   fig2        goodput vs transfer size (PCIe, NVLink)
@@ -192,55 +196,90 @@ experiments:
   all         everything above
 
 flags:
-`)
+`
+
+func usage() {
+	fmt.Fprint(os.Stderr, usageText)
 	flag.PrintDefaults()
 }
 
+// flagVerbs are the verbs outside the experiments index: each reads its
+// own CLI flags, or (report, all) walks the index itself.
+var flagVerbs = map[string]func(*experiments.Suite) error{
+	"observe":        showObserve,
+	"stream":         showStream,
+	"topo-crossover": showTopoCrossover,
+	"collective":     showCollective,
+	"report":         showReport,
+	"all":            showAll,
+}
+
+// dispatch resolves a verb to its command, nil when there is none.
+func dispatch(name string) func(*experiments.Suite) error {
+	if f, ok := flagVerbs[name]; ok {
+		return f
+	}
+	if e, ok := experiments.Lookup(name); ok {
+		return func(s *experiments.Suite) error { return show(s, e) }
+	}
+	return nil
+}
+
 func run(s *experiments.Suite, name string) error {
-	exps := map[string]func(*experiments.Suite) error{
-		"fig2":           showFig2,
-		"fig4":           showFig4,
-		"fig9":           showFig9,
-		"fig10":          showFig10,
-		"fig11":          showFig11,
-		"fig12":          showFig12,
-		"fig13":          showFig13,
-		"tab2":           showTab2,
-		"alt-design":     showAltDesign,
-		"wc":             showWC,
-		"gps":            showGPS,
-		"scale16":        showScale16,
-		"diag":           showDiag,
-		"ablations":      showAblations,
-		"nvlink-fp":      showNVLinkFP,
-		"overlap":        showOverlap,
-		"um":             showUM,
-		"scaling":        showScaling,
-		"ber-sweep":      showBERSweep,
-		"observe":        showObserve,
-		"stream":         showStream,
-		"report":         showReport,
-		"topo-crossover": showTopoCrossover,
-		"collective":     showCollective,
-	}
-	if name == "all" {
-		for _, n := range []string{
-			"fig2", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13",
-			"tab2", "alt-design", "wc", "gps", "scale16", "ablations",
-			"nvlink-fp", "overlap", "um", "scaling",
-		} {
-			if err := exps[n](s); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
-			}
-			fmt.Println()
-		}
-		return nil
-	}
-	f, ok := exps[name]
-	if !ok {
+	f := dispatch(name)
+	if f == nil {
 		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return f(s)
+}
+
+// showAll runs every experiment that is also in the report, in the
+// index's order, with a blank line after each.
+func showAll(s *experiments.Suite) error {
+	for _, e := range experiments.Experiments() {
+		if e.Verb == "" || e.Title == "" {
+			continue
+		}
+		if err := show(s, e); err != nil {
+			return fmt.Errorf("%s: %w", e.Verb, err)
+		}
+		fmt.Println()
+	}
+	return nil
+}
+
+func showReport(s *experiments.Suite) error {
+	return s.WriteReport(context.Background(), os.Stdout)
+}
+
+// show runs one experiment and prints it: its SVG into -svg, then each
+// part (blank-line separated), then its bar chart under -chart.
+func show(s *experiments.Suite, e experiments.Experiment) error {
+	out, err := e.Run(s)
+	if err != nil {
+		return err
+	}
+	if out.SVG != nil {
+		if err := writeSVG(e.Verb, out.SVG); err != nil {
+			return err
+		}
+	}
+	for i, p := range out.Parts {
+		if i > 0 {
+			fmt.Println()
+		}
+		name := p.Name
+		if name == "" {
+			name = e.Verb
+		}
+		if err := emit(name, p.Data, p.Table); err != nil {
+			return err
+		}
+	}
+	if chart && out.Chart != nil {
+		out.Chart.Render(os.Stdout)
+	}
+	return nil
 }
 
 // chart enables supplementary bar-chart rendering; jsonOut switches the
@@ -290,239 +329,4 @@ func emit(name string, data any, t *stats.Table) error {
 		return enc.Encode(map[string]any{"experiment": name, "data": data})
 	}
 	return render(t)
-}
-
-func showFig2(*experiments.Suite) error {
-	points := experiments.Fig2()
-	if err := writeSVG("fig2", func(w io.Writer) error {
-		return experiments.Fig2SVG(points, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig2", points, experiments.Fig2Table(points))
-}
-
-func showFig4(s *experiments.Suite) error {
-	rows, err := s.Fig4()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig4", func(w io.Writer) error {
-		return experiments.Fig4SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig4", rows, experiments.Fig4Table(rows))
-}
-
-func showFig9(s *experiments.Suite) error {
-	rows, geo, err := s.Fig9()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig9", func(w io.Writer) error {
-		return experiments.Fig9SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	if err := emit("fig9", map[string]any{"rows": rows, "geomean": geo},
-		experiments.Fig9Table(rows, geo)); err != nil {
-		return err
-	}
-	if chart {
-		c := stats.NewBarChart("Fig 9 (finepack bars)", 50)
-		for _, r := range rows {
-			c.Add(r.Workload, r.Speedup[sim.FinePack])
-		}
-		c.Render(os.Stdout)
-	}
-	return nil
-}
-
-func showFig10(s *experiments.Suite) error {
-	rows, err := s.Fig10()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig10", func(w io.Writer) error {
-		return experiments.Fig10SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig10", rows, experiments.Fig10Table(rows))
-}
-
-func showFig11(s *experiments.Suite) error {
-	rows, mean, err := s.Fig11()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig11", func(w io.Writer) error {
-		return experiments.Fig11SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	if err := emit("fig11", map[string]any{"rows": rows, "mean": mean},
-		experiments.Fig11Table(rows, mean)); err != nil {
-		return err
-	}
-	if chart {
-		c := stats.NewBarChart("Fig 11 (stores/packet)", 50)
-		for _, r := range rows {
-			c.Add(r.Workload, r.StoresPerPacket)
-		}
-		c.Render(os.Stdout)
-	}
-	return nil
-}
-
-func showFig12(s *experiments.Suite) error {
-	rows, geo, err := s.Fig12()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig12", func(w io.Writer) error {
-		return experiments.Fig12SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig12", map[string]any{"rows": rows, "geomean": geo},
-		experiments.Fig12Table(rows, geo))
-}
-
-func showFig13(s *experiments.Suite) error {
-	rows, err := s.Fig13()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("fig13", func(w io.Writer) error {
-		return experiments.Fig13SVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("fig13", rows, experiments.Fig13Table(rows))
-}
-
-func showTab2(*experiments.Suite) error {
-	return emit("tab2", experiments.Tab2Rows(), experiments.Tab2Table())
-}
-
-func showAltDesign(s *experiments.Suite) error {
-	rows, err := s.AltDesign()
-	if err != nil {
-		return err
-	}
-	return emit("alt-design", rows, experiments.AltDesignTable(rows))
-}
-
-func showWC(s *experiments.Suite) error {
-	rows, overall, err := s.WCCompare()
-	if err != nil {
-		return err
-	}
-	return emit("wc", map[string]any{"rows": rows, "overallReductionPc": overall},
-		experiments.WCTable(rows, overall))
-}
-
-func showGPS(s *experiments.Suite) error {
-	rows, ratio, err := s.GPSCompare()
-	if err != nil {
-		return err
-	}
-	return emit("gps", map[string]any{"rows": rows, "fpOverGPS": ratio},
-		experiments.GPSTable(rows, ratio))
-}
-
-func showAblations(s *experiments.Suite) error {
-	entries, err := s.AblationQueueEntries()
-	if err != nil {
-		return err
-	}
-	if err := emit("ablation-entries", entries, experiments.AblationTable(
-		"Ablation: remote write queue entries per partition (§VI-B future work)", entries)); err != nil {
-		return err
-	}
-	fmt.Println()
-	windows, err := s.AblationOpenWindows()
-	if err != nil {
-		return err
-	}
-	if err := emit("ablation-windows", windows, experiments.AblationTable(
-		"Ablation: open outer transactions per destination (§IV-C)", windows)); err != nil {
-		return err
-	}
-	fmt.Println()
-	timeouts, err := s.AblationFlushTimeout()
-	if err != nil {
-		return err
-	}
-	return emit("ablation-timeout", timeouts, experiments.AblationTable(
-		"Ablation: inactivity-timeout flush (§IV-B)", timeouts))
-}
-
-func showNVLinkFP(*experiments.Suite) error {
-	rows := experiments.NVLinkFinePack()
-	return emit("nvlink-fp", rows, experiments.NVLinkFinePackTable(rows))
-}
-
-func showOverlap(s *experiments.Suite) error {
-	rows, err := s.Overlap()
-	if err != nil {
-		return err
-	}
-	return emit("overlap", rows, experiments.OverlapTable(rows))
-}
-
-func showUM(s *experiments.Suite) error {
-	rows, err := s.UMCompare()
-	if err != nil {
-		return err
-	}
-	return emit("um", rows, experiments.UMTable(rows))
-}
-
-func showScaling(s *experiments.Suite) error {
-	rows, err := s.Scaling()
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("scaling", func(w io.Writer) error {
-		return experiments.ScalingSVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("scaling", rows, experiments.ScalingTable(rows))
-}
-
-func showBERSweep(s *experiments.Suite) error {
-	rows, err := s.BERSweep(nil)
-	if err != nil {
-		return err
-	}
-	if err := writeSVG("ber-sweep", func(w io.Writer) error {
-		return experiments.BERSweepSVG(rows, w)
-	}); err != nil {
-		return err
-	}
-	return emit("ber-sweep", rows, experiments.BERSweepTable(rows))
-}
-
-func showReport(s *experiments.Suite) error {
-	return s.WriteReport(os.Stdout)
-}
-
-func showDiag(s *experiments.Suite) error {
-	rows, err := s.Diag()
-	if err != nil {
-		return err
-	}
-	return emit("diag", rows, experiments.DiagTable(rows))
-}
-
-func showScale16(s *experiments.Suite) error {
-	res, err := s.Scale16()
-	if err != nil {
-		return err
-	}
-	return emit("scale16", res, experiments.Scale16Table(res))
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,5 +99,97 @@ func TestRunFiguresQuickScale(t *testing.T) {
 		if err := run(s, name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestUsageMatchesDispatch keeps the hand-written usage text in step with
+// the verbs run knows: every verb it lists dispatches, and every verb the
+// experiments index and flagVerbs define is listed.
+func TestUsageMatchesDispatch(t *testing.T) {
+	_, list, ok := strings.Cut(usageText, "experiments:\n")
+	if !ok {
+		t.Fatal("usage text has no experiments section")
+	}
+	list, _, _ = strings.Cut(list, "\n\n")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(list, "\n") {
+		// Verb lines indent by two spaces; continuation lines by more.
+		if rest, ok := strings.CutPrefix(line, "  "); ok && rest != "" && rest[0] != ' ' {
+			verb := strings.Fields(rest)[0]
+			listed[verb] = true
+			if dispatch(verb) == nil {
+				t.Errorf("usage lists %q, which does not dispatch", verb)
+			}
+		}
+	}
+	var verbs []string
+	for _, e := range experiments.Experiments() {
+		if e.Verb != "" {
+			verbs = append(verbs, e.Verb)
+		}
+	}
+	for v := range flagVerbs {
+		verbs = append(verbs, v)
+	}
+	for _, v := range verbs {
+		if !listed[v] {
+			t.Errorf("verb %q is missing from the usage text", v)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what f wrote.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestStreamHonorsFaultFlags checks that stream simulates under the
+// suite's config, as every other verb does: a link degraded to 10% of
+// its bandwidth must slow the streamed run down.
+func TestStreamHonorsFaultFlags(t *testing.T) {
+	profile := filepath.Join(t.TempDir(), "p.json")
+	if err := os.WriteFile(profile, []byte(`{"name":"x","gpus":4,"iterations":2,"seed":3,`+
+		`"compute_ops_per_iter":1e6,"warps_per_gpu_iter":64}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	streamSynth, streamParadigm, jsonOut = profile, "finepack", true
+	defer func() { streamSynth, streamParadigm, jsonOut = "", "", false }()
+	streamTime := func(s *experiments.Suite) des.Time {
+		var doc struct {
+			Data struct{ Time des.Time }
+		}
+		raw := captureStdout(t, func() error { return run(s, "stream") })
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("stream output %q: %v", raw, err)
+		}
+		return doc.Data.Time
+	}
+	clean := streamTime(experiments.Quick())
+	degraded := experiments.Quick()
+	d, err := parseDegrade("*:*:0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded.Cfg.Faults.Degradations = []faults.Degradation{d}
+	if slow := streamTime(degraded); slow <= clean {
+		t.Fatalf("degraded stream took %v, clean %v: -degrade ignored", slow, clean)
 	}
 }

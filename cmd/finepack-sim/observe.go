@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,7 +48,7 @@ func showObserve(s *experiments.Suite) error {
 		return err
 	}
 	oc := obs.Config{SampleEvery: des.Time(obsSampleUs * float64(des.Microsecond))}
-	res, rec, err := s.ObservedRun(obsWorkload, par, oc)
+	res, rec, err := s.ObservedRun(context.Background(), obsWorkload, par, oc)
 	if err != nil {
 		return err
 	}

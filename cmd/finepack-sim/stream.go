@@ -30,8 +30,9 @@ func registerStreamFlags() {
 // synthesis profile regenerates each window from its seed — either way
 // the simulator holds one iteration in memory, so inputs far larger than
 // any built-in workload fit (the ≥100×-eqwp acceptance run goes through
-// here).
-func showStream(*experiments.Suite) error {
+// here). The run uses the suite's config, so -topo and the fault flags
+// apply as they do to every other verb.
+func showStream(s *experiments.Suite) error {
 	par, err := sim.ParadigmFromString(streamParadigm)
 	if err != nil {
 		return err
@@ -69,9 +70,7 @@ func showStream(*experiments.Suite) error {
 	defer closer()
 
 	m := src.Meta()
-	cfg := sim.DefaultConfig()
-	cfg.Topology = resolvedTopo
-	res, err := sim.RunSource(src, par, cfg)
+	res, err := sim.RunSourceObserved(src, par, s.Cfg, nil)
 	if err != nil {
 		return err
 	}

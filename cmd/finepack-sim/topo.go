@@ -137,8 +137,6 @@ func showCollective(s *experiments.Suite) error {
 		}
 		pars = []sim.Paradigm{p}
 	}
-	cfg := s.Cfg
-	cfg.Topology = resolvedTopo
 	title := fmt.Sprintf("collective %s (%d GPUs, %d B/rank)", spec.Kind, gpus, collectivePayload)
 	cols := []string{"paradigm", "time", "wire bytes", "goodput"}
 	if resolvedTopo != nil {
@@ -153,7 +151,7 @@ func showCollective(s *experiments.Suite) error {
 		if err != nil {
 			return err
 		}
-		res, err := sim.RunSource(src, par, cfg)
+		res, err := sim.RunSourceObserved(src, par, s.Cfg, nil)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/core"
@@ -63,7 +62,7 @@ func (s *Suite) AblationQueueEntries() ([]AblationRow, error) {
 		cfg.FinePack.QueueEntries = entries
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, sim.FinePack)...)
 	}
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []AblationRow
 	for _, entries := range []int{4, 8, 16, 32, 64, 128} {
 		cfg := s.Cfg
@@ -86,7 +85,7 @@ func (s *Suite) AblationOpenWindows() ([]AblationRow, error) {
 		cfg.FinePack.MaxOpenWindows = wins
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, sim.FinePack)...)
 	}
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []AblationRow
 	for _, wins := range []int{1, 2, 4} {
 		cfg := s.Cfg
@@ -126,7 +125,7 @@ func (s *Suite) AblationFlushTimeout() ([]AblationRow, error) {
 		cfg.FlushTimeout = p.timeout
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, sim.FinePack)...)
 	}
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []AblationRow
 	for _, p := range points {
 		cfg := s.Cfg

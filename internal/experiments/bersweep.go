@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -64,23 +63,7 @@ func (s *Suite) BERSweep(bers []float64) ([]BERRow, error) {
 		cfg.Faults.BER = ber
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, BERSweepParadigms()...)...)
 	}
-	s.warmRuns(context.Background(), jobs)
-	// Error-free baselines per (workload, paradigm).
-	base := make(map[resultKey]*sim.Result) // reuse key type for convenience
-	baseline := func(name string, par sim.Paradigm) (*sim.Result, error) {
-		k := resultKey{name: name, paradigm: par}
-		if r, ok := base[k]; ok {
-			return r, nil
-		}
-		cfg := s.Cfg
-		cfg.Faults.BER = 0
-		r, err := s.runWith(name, s.NumGPUs, par, cfg)
-		if err == nil {
-			base[k] = r
-		}
-		return r, err
-	}
-
+	s.warm(jobs)
 	var rows []BERRow
 	for _, ber := range bers {
 		row := BERRow{
@@ -97,7 +80,7 @@ func (s *Suite) BERSweep(bers []float64) ([]BERRow, error) {
 			var slowdowns []float64
 			var wire, raw core.Bytes
 			for _, name := range s.Workloads() {
-				ref, err := baseline(name, par)
+				ref, err := s.runWith(name, s.NumGPUs, par, baseCfg)
 				if err != nil {
 					return nil, err
 				}

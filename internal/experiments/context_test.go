@@ -12,62 +12,21 @@ import (
 	"finepack/internal/sim"
 )
 
-// TestRunContextCanceled pins the cancellation contract: a canceled
-// context aborts before the run starts — nothing lands in the result
-// cache — and the error is the context's own.
-func TestRunContextCanceled(t *testing.T) {
-	s := smallSuite()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunContext(ctx, "sssp", sim.FinePack); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext error = %v, want context.Canceled", err)
-	}
-	s.mu.Lock()
-	cached := len(s.results)
-	s.mu.Unlock()
-	if cached != 0 {
-		t.Fatalf("canceled RunContext populated %d result cells", cached)
-	}
-
-	// The same call with a live context runs and returns a result.
-	if res, err := s.RunContext(context.Background(), "sssp", sim.FinePack); err != nil || res == nil {
-		t.Fatalf("live RunContext = (%v, %v)", res, err)
-	}
-}
-
 // TestObservedRunContextCanceled checks both stages: canceled up front,
 // and canceled between trace generation and the run.
 func TestObservedRunContextCanceled(t *testing.T) {
 	s := smallSuite()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.ObservedRunContext(ctx, "sssp", sim.FinePack, obs.Config{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ObservedRunContext error = %v, want context.Canceled", err)
+	if _, _, err := s.ObservedRun(ctx, "sssp", sim.FinePack, obs.Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ObservedRun error = %v, want context.Canceled", err)
 	}
 
 	// Deadline in the past behaves identically.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer dcancel()
-	if _, _, err := s.ObservedRunContext(dctx, "sssp", sim.FinePack, obs.Config{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ObservedRunContext error = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestWarmRunsCanceled checks the pool-level cancellation: with a canceled
-// context the warm pool executes nothing, so a daemon job whose deadline
-// expired queues no further simulations.
-func TestWarmRunsCanceled(t *testing.T) {
-	s := smallSuite()
-	s.Parallelism = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.warmRuns(ctx, s.suiteJobs(s.NumGPUs, s.Cfg, sim.P2P, sim.FinePack))
-	s.warmTraces(ctx, s.NumGPUs)
-	s.mu.Lock()
-	results, traces := len(s.results), len(s.traces)
-	s.mu.Unlock()
-	if results != 0 || traces != 0 {
-		t.Fatalf("canceled warm pools populated caches: %d results, %d traces", results, traces)
+	if _, _, err := s.ObservedRun(dctx, "sssp", sim.FinePack, obs.Config{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ObservedRun error = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -80,9 +39,9 @@ func TestWriteReportContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	err := s.WriteReportContext(ctx, &buf)
+	err := s.WriteReport(ctx, &buf)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("WriteReportContext error = %v, want context.Canceled", err)
+		t.Fatalf("WriteReport error = %v, want context.Canceled", err)
 	}
 	if !strings.Contains(err.Error(), "canceled before") {
 		t.Fatalf("error %q does not name the aborted section", err)

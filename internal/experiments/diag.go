@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/sim"
@@ -25,7 +24,7 @@ type DiagRow struct {
 
 // Diag runs every (workload, paradigm) pair and returns the raw numbers.
 func (s *Suite) Diag() ([]DiagRow, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg,
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg,
 		sim.P2P, sim.DMA, sim.FinePack, sim.WriteCombining,
 		sim.GPS, sim.UM, sim.RemoteRead, sim.Infinite))
 	var rows []DiagRow

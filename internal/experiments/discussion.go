@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/baseline"
@@ -72,7 +71,7 @@ const AltDesignGroupStores = 42
 func (s *Suite) AltDesign() ([]AltDesignRow, error) {
 	// Derive the average packed-run size from the FinePack runs: data
 	// bytes per sub-packet across the suite.
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack))
 	var data, subs uint64
 	for _, name := range s.Workloads() {
 		res, err := s.Run(name, sim.FinePack)
@@ -136,7 +135,7 @@ type WCRow struct {
 // WCCompare regenerates §VI-A's "24% reduction of data on the wire versus
 // write combining alone".
 func (s *Suite) WCCompare() ([]WCRow, float64, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack, sim.WriteCombining))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack, sim.WriteCombining))
 	var rows []WCRow
 	var fpSum, wcSum core.Bytes
 	for _, name := range s.Workloads() {
@@ -187,7 +186,7 @@ type GPSRow struct {
 // slower than GPS on average, winning where sparse stores make full-line
 // transfers wasteful and losing where subscription savings dominate).
 func (s *Suite) GPSCompare() ([]GPSRow, float64, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack, sim.GPS))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack, sim.GPS))
 	var rows []GPSRow
 	var ratios []float64
 	for _, name := range s.Workloads() {
@@ -230,7 +229,7 @@ type Scale16Result struct {
 // Scale16 regenerates the 16-GPU PCIe 6.0 scaling study.
 func (s *Suite) Scale16() (*Scale16Result, error) {
 	cfg := s.withGen(pcie.Gen6)
-	s.warmRuns(context.Background(), s.suiteJobs(16, cfg, sim.P2P, sim.DMA, sim.FinePack))
+	s.warm(s.suiteJobs(16, cfg, sim.P2P, sim.DMA, sim.FinePack))
 	out := &Scale16Result{}
 	var p2pR, dmaR []float64
 	for _, name := range s.Workloads() {

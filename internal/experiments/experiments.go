@@ -1,12 +1,15 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§VI): each Fig*/Tab* function regenerates the corresponding
 // artifact's rows or series from the simulator, and the companion *Table
-// helpers render them in the layout of the published chart. cmd/finepack-sim
-// and bench_test.go are thin wrappers over this package.
+// helpers render them in the layout of the published chart. Experiments
+// lists them once, in report order; the finepack-sim verbs, its `all`
+// verb and WriteReport all read that list. cmd/finepack-sim and
+// bench_test.go are thin wrappers over this package.
 //
 // Every run in the evaluation is an independent (workload, paradigm,
-// config) simulation, so the Suite fans them out across a bounded worker
-// pool before each figure assembles its rows serially from the cache.
+// config) simulation, so the Suite fans them out across one bounded worker
+// pool (forEach) before each figure assembles its rows serially from the
+// cache.
 // Each per-run DES stays single-threaded (see the internal/des doc
 // comment); only whole runs execute concurrently, and rows are always
 // collected in workload/paradigm order from cached deterministic results,
@@ -18,8 +21,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	"finepack/internal/core"
 	"finepack/internal/obs"
 	"finepack/internal/pcie"
 	"finepack/internal/sim"
@@ -68,23 +71,26 @@ type traceKey struct {
 	gpus int
 }
 
+// resultKey identifies one cached run. cfg encodes the whole sim.Config,
+// so two configs that differ in any field never share a result.
 type resultKey struct {
-	name      string
-	gpus      int
-	paradigm  sim.Paradigm
-	bandwidth float64
-	subheader int
-	entries   int
-	windows   int
-	timeout   core.PicoSeconds
-	// faults fingerprints the fault-injection config so runs with
-	// different error rates, seeds or scripted events never collide in
-	// the cache (the zero config prints identically everywhere).
-	faults string
-	// topology fingerprints Config.Topology by its canonical JSON (empty
-	// on the flat fabric), so a suite retargeted at a multi-hop system
-	// never reuses flat-fabric results or vice versa.
-	topology string
+	name     string
+	gpus     int
+	paradigm sim.Paradigm
+	cfg      string
+}
+
+// configKey encodes cfg for resultKey: the topology by its canonical JSON
+// (empty on the flat fabric) and every other field in Go syntax. %#v
+// prints numbers exactly and never calls a String method, so no two
+// distinct values (des.Time's rounded String, say) share an encoding.
+func configKey(cfg sim.Config) string {
+	var topology []byte
+	if cfg.Topology != nil {
+		topology = cfg.Topology.CanonicalJSON()
+		cfg.Topology = nil
+	}
+	return fmt.Sprintf("%#v|%s", cfg, topology)
 }
 
 // Default returns the paper's evaluation setup: 4 GPUs, PCIe 4.0,
@@ -155,39 +161,11 @@ func (s *Suite) Trace(name string, gpus int) (*trace.Trace, error) {
 // Run returns (running and caching) one simulation result under the
 // suite's configuration.
 func (s *Suite) Run(name string, par sim.Paradigm) (*sim.Result, error) {
-	return s.RunContext(context.Background(), name, par)
-}
-
-// RunContext is Run with cooperative cancellation. The context is checked
-// before the run starts — a simulation, once started, always completes,
-// because determinism makes a partial run worthless — so a canceled or
-// deadline-expired caller aborts between runs instead of silently
-// completing the whole sweep.
-func (s *Suite) RunContext(ctx context.Context, name string, par sim.Paradigm) (*sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return s.runWith(name, s.NumGPUs, par, s.Cfg)
 }
 
 func (s *Suite) runWith(name string, gpus int, par sim.Paradigm, cfg sim.Config) (*sim.Result, error) {
-	k := resultKey{
-		name:      name,
-		gpus:      gpus,
-		paradigm:  par,
-		bandwidth: cfg.Bandwidth,
-		subheader: cfg.FinePack.SubheaderBytes,
-		entries:   cfg.FinePack.QueueEntries,
-		windows:   cfg.FinePack.MaxOpenWindows,
-		timeout:   cfg.FlushTimeout,
-		faults:    fmt.Sprintf("%+v", cfg.Faults),
-	}
-	if cfg.Bandwidth == 0 {
-		k.bandwidth = cfg.Gen.Bandwidth()
-	}
-	if cfg.Topology != nil {
-		k.topology = string(cfg.Topology.CanonicalJSON())
-	}
+	k := resultKey{name: name, gpus: gpus, paradigm: par, cfg: configKey(cfg)}
 	s.mu.Lock()
 	c, ok := s.results[k]
 	if !ok {
@@ -221,16 +199,13 @@ func (s *Suite) runWith(name string, gpus int, par sim.Paradigm, cfg sim.Config)
 // usual; the result cache is bypassed: a cached result would come without
 // the artifacts the caller is asking for, and observed runs are one-off
 // diagnostics, not figure inputs worth caching.
-func (s *Suite) ObservedRun(name string, par sim.Paradigm, oc obs.Config) (*sim.Result, *obs.Recorder, error) {
-	return s.ObservedRunContext(context.Background(), name, par, oc)
-}
-
-// ObservedRunContext is ObservedRun with cooperative cancellation: the
-// context is checked before trace generation and again before the
-// simulation starts, so a canceled or deadline-expired job aborts between
-// those stages rather than completing silently. The run itself, once
-// started, always completes (see RunContext).
-func (s *Suite) ObservedRunContext(ctx context.Context, name string, par sim.Paradigm, oc obs.Config) (*sim.Result, *obs.Recorder, error) {
+//
+// Cancellation is cooperative: ctx is checked before trace generation and
+// again before the simulation starts, so a canceled or deadline-expired
+// job aborts between those stages rather than completing silently. The
+// run itself, once started, always completes, because determinism makes
+// a partial run worthless.
+func (s *Suite) ObservedRun(ctx context.Context, name string, par sim.Paradigm, oc obs.Config) (*sim.Result, *obs.Recorder, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -249,8 +224,35 @@ func (s *Suite) ObservedRunContext(ctx context.Context, name string, par sim.Par
 	return res, rec, nil
 }
 
-// run is a runJob's closure-free description: one (workload, gpus,
-// paradigm, config) simulation.
+// forEach calls do(i) for every i in [0, n) on the suite's worker pool:
+// the one place this package starts goroutines. With Parallelism 1 (or
+// n ≤ 1) it calls do in index order on the caller's goroutine. do must be
+// safe to call concurrently; callers write each index's outcome to its
+// own slot or to the singleflight caches and read it back in a fixed
+// order, so the output never depends on completion order.
+func (s *Suite) forEach(n int, do func(i int)) {
+	workers := min(s.parallelism(), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			do(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runJob describes one (workload, gpus, paradigm, config) simulation.
 type runJob struct {
 	name string
 	gpus int
@@ -258,81 +260,16 @@ type runJob struct {
 	cfg  sim.Config
 }
 
-// warmRuns fans the given runs out across the worker pool, populating the
-// result (and, transitively, trace) caches. Errors are deliberately
-// dropped here: the serial assembly loop that follows re-requests every
-// run from the cache and surfaces the identical, deterministic error at
-// the same row it would have hit serially.
-//
-// Cancellation is cooperative and sits between runs: once ctx is done the
-// feeder stops handing out jobs and every worker skips whatever it still
-// receives, so an expired deadline abandons the remaining sweep instead of
-// silently completing it. Runs already in flight finish — a deterministic
-// run is only useful whole.
-func (s *Suite) warmRuns(ctx context.Context, jobs []runJob) {
-	n := s.parallelism()
-	if n <= 1 || len(jobs) <= 1 {
-		return
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	ch := make(chan runJob)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				if ctx.Err() != nil {
-					continue
-				}
-				_, _ = s.runWith(j.name, j.gpus, j.par, j.cfg)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		if ctx.Err() != nil {
-			break
-		}
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// warmTraces fans out trace generation alone (Fig 4 needs no runs).
-func (s *Suite) warmTraces(ctx context.Context, gpus int) {
-	n := s.parallelism()
-	names := s.Workloads()
-	if n <= 1 || len(names) <= 1 {
-		return
-	}
-	if n > len(names) {
-		n = len(names)
-	}
-	ch := make(chan string)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range ch {
-				if ctx.Err() != nil {
-					continue
-				}
-				_, _ = s.Trace(name, gpus)
-			}
-		}()
-	}
-	for _, name := range names {
-		if ctx.Err() != nil {
-			break
-		}
-		ch <- name
-	}
-	close(ch)
-	wg.Wait()
+// warm runs the given jobs on the worker pool, filling the result (and,
+// transitively, trace) caches before a figure assembles its rows.
+// Errors are dropped here: the assembly loop that follows re-requests
+// every run from the cache and surfaces the identical, deterministic
+// error at the row where it belongs.
+func (s *Suite) warm(jobs []runJob) {
+	s.forEach(len(jobs), func(i int) {
+		j := jobs[i]
+		_, _ = s.runWith(j.name, j.gpus, j.par, j.cfg)
+	})
 }
 
 // suiteJobs enumerates one run per workload for each given paradigm under

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/nvlink"
@@ -71,9 +70,10 @@ type Fig4Row struct {
 
 // Fig4 regenerates the store-size mix egressing L1 per workload.
 func (s *Suite) Fig4() ([]Fig4Row, error) {
-	s.warmTraces(context.Background(), s.NumGPUs)
+	names := s.Workloads()
+	s.forEach(len(names), func(i int) { _, _ = s.Trace(names[i], s.NumGPUs) })
 	var rows []Fig4Row
-	for _, name := range s.Workloads() {
+	for _, name := range names {
 		tr, err := s.Trace(name, s.NumGPUs)
 		if err != nil {
 			return nil, err
@@ -121,7 +121,7 @@ type Fig9Row struct {
 
 // Fig9 regenerates the headline strong-scaling comparison.
 func (s *Suite) Fig9() ([]Fig9Row, map[sim.Paradigm]float64, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.Fig9Paradigms()...))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.Fig9Paradigms()...))
 	var rows []Fig9Row
 	sums := map[sim.Paradigm][]float64{}
 	for _, name := range s.Workloads() {
@@ -175,7 +175,7 @@ func Fig10Paradigms() []sim.Paradigm {
 
 // Fig10 regenerates the traffic breakdown.
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, Fig10Paradigms()...))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, Fig10Paradigms()...))
 	var rows []Fig10Row
 	for _, name := range s.Workloads() {
 		dma, err := s.Run(name, sim.DMA)
@@ -230,7 +230,7 @@ type Fig11Row struct {
 
 // Fig11 regenerates the stores-aggregated-per-packet chart.
 func (s *Suite) Fig11() ([]Fig11Row, float64, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.FinePack))
 	var rows []Fig11Row
 	var xs []float64
 	for _, name := range s.Workloads() {
@@ -272,7 +272,7 @@ func (s *Suite) Fig12() ([]Fig12Row, map[int]float64, error) {
 		cfg.FinePack.SubheaderBytes = shb
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, cfg, sim.FinePack)...)
 	}
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []Fig12Row
 	perSize := map[int][]float64{}
 	for _, name := range s.Workloads() {
@@ -325,7 +325,7 @@ func (s *Suite) Fig13() ([]Fig13Row, error) {
 		jobs = append(jobs, s.suiteJobs(s.NumGPUs, s.withGen(gen), sim.P2P, sim.DMA, sim.FinePack)...)
 	}
 	jobs = append(jobs, s.suiteJobs(s.NumGPUs, s.Cfg, sim.Infinite)...)
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []Fig13Row
 	for _, gen := range []pcie.Generation{pcie.Gen4, pcie.Gen5, pcie.Gen6} {
 		cfg := s.withGen(gen)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func obsGoldenConfig() obs.Config {
 
 func renderObsGolden(t *testing.T) (traceJSON, metrics []byte) {
 	t.Helper()
-	_, rec, err := obsGoldenSuite().ObservedRun("sssp", sim.FinePack, obsGoldenConfig())
+	_, rec, err := obsGoldenSuite().ObservedRun(context.Background(), "sssp", sim.FinePack, obsGoldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/sim"
@@ -23,7 +22,7 @@ type OverlapRow struct {
 
 // Overlap computes the time decomposition for the P2P/DMA/FinePack trio.
 func (s *Suite) Overlap() ([]OverlapRow, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.P2P, sim.DMA, sim.FinePack))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.P2P, sim.DMA, sim.FinePack))
 	var rows []OverlapRow
 	for _, name := range s.Workloads() {
 		for _, par := range []sim.Paradigm{sim.P2P, sim.DMA, sim.FinePack} {
@@ -77,7 +76,7 @@ type UMRow struct {
 // reads are both too inefficient for fine-grained sharing, which is why
 // replication + proactive stores exist at all.
 func (s *Suite) UMCompare() ([]UMRow, error) {
-	s.warmRuns(context.Background(), s.suiteJobs(s.NumGPUs, s.Cfg, sim.UM, sim.RemoteRead, sim.DMA, sim.FinePack))
+	s.warm(s.suiteJobs(s.NumGPUs, s.Cfg, sim.UM, sim.RemoteRead, sim.DMA, sim.FinePack))
 	var rows []UMRow
 	for _, name := range s.Workloads() {
 		um, err := s.Run(name, sim.UM)

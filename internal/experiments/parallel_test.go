@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -106,14 +107,14 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 	serial := smallSuite()
 	serial.Parallelism = 1
 	var want bytes.Buffer
-	if err := serial.WriteReport(&want); err != nil {
+	if err := serial.WriteReport(context.Background(), &want); err != nil {
 		t.Fatal(err)
 	}
 
 	par := smallSuite()
 	par.Parallelism = 8
 	var got bytes.Buffer
-	if err := par.WriteReport(&got); err != nil {
+	if err := par.WriteReport(context.Background(), &got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -150,7 +151,7 @@ func TestObservedParallelRunsOwnSinks(t *testing.T) {
 	// Serial reference artifacts, one per job.
 	want := make([][]byte, len(jobs))
 	for i, j := range jobs {
-		_, rec, err := s.ObservedRun(j.name, j.par, oc)
+		_, rec, err := s.ObservedRun(context.Background(), j.name, j.par, oc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestObservedParallelRunsOwnSinks(t *testing.T) {
 			wg.Add(1)
 			go func(i int, name string, par sim.Paradigm) {
 				defer wg.Done()
-				_, rec, err := s.ObservedRun(name, par, oc)
+				_, rec, err := s.ObservedRun(context.Background(), name, par, oc)
 				if err != nil {
 					t.Error(err)
 					return
@@ -185,4 +186,37 @@ func TestObservedParallelRunsOwnSinks(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestResultCacheKeysWholeConfig checks that the result cache tells apart
+// configs differing in any field, not just the ones today's sweeps vary:
+// a run with fewer emission batches must get its own result, equal to an
+// uncached run of the same config.
+func TestResultCacheKeysWholeConfig(t *testing.T) {
+	s := smallSuite()
+	base, err := s.Run("sssp", sim.FinePack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Cfg
+	cfg.EmissionBatches = 8
+	got, err := s.runWith("sssp", s.NumGPUs, sim.FinePack, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Trace("sssp", s.NumGPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(tr, sim.FinePack, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == base || got.Time != want.Time {
+		t.Fatalf("EmissionBatches 8 run took %v (cached base run %v), uncached %v",
+			got.Time, base.Time, want.Time)
+	}
+	if want.Time == base.Time {
+		t.Fatalf("EmissionBatches does not change the run (%v both): the check shows nothing", want.Time)
+	}
 }

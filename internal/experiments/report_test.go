@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestWriteReportComplete(t *testing.T) {
 	s := ablationSuite()
 	var sb strings.Builder
-	if err := s.WriteReport(&sb); err != nil {
+	if err := s.WriteReport(context.Background(), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

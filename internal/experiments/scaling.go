@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"finepack/internal/sim"
@@ -24,7 +23,7 @@ func (s *Suite) Scaling() ([]ScalingRow, error) {
 	for _, gpus := range []int{2, 4, 8, 16} {
 		jobs = append(jobs, s.suiteJobs(gpus, s.Cfg, sim.Fig9Paradigms()...)...)
 	}
-	s.warmRuns(context.Background(), jobs)
+	s.warm(jobs)
 	var rows []ScalingRow
 	for _, gpus := range []int{2, 4, 8, 16} {
 		row := ScalingRow{GPUs: gpus, Speedup: map[sim.Paradigm]float64{}}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"finepack/internal/collective"
 	"finepack/internal/core"
@@ -134,67 +133,23 @@ func (s *Suite) TopoCrossover(spec *topo.Spec, fanouts []int) ([]TopoRow, error)
 		fanouts = DefaultTopoFanouts(gpus)
 	}
 
-	type key struct {
-		fanout int
-		par    sim.Paradigm
-	}
-	type job struct {
-		fanout int
-		par    sim.Paradigm
-	}
-	var jobs []job
-	for _, f := range fanouts {
-		for _, par := range TopoCrossoverParadigms() {
-			jobs = append(jobs, job{f, par})
-		}
-	}
-	results := make(map[key]*sim.Result, len(jobs))
-	errs := make(map[key]error, len(jobs))
-	var mu sync.Mutex
-	runOne := func(j job) {
-		src, err := s.topoMixSource(gpus, j.fanout)
-		var res *sim.Result
+	pars := TopoCrossoverParadigms()
+	results := make([]*sim.Result, len(fanouts)*len(pars))
+	errs := make([]error, len(results))
+	s.forEach(len(results), func(i int) {
+		src, err := s.topoMixSource(gpus, fanouts[i/len(pars)])
 		if err == nil {
 			cfg := s.Cfg
 			cfg.Topology = spec
-			res, err = sim.RunSource(src, j.par, cfg)
+			results[i], err = sim.RunSourceObserved(src, pars[i%len(pars)], cfg, nil)
 		}
-		mu.Lock()
-		results[key{j.fanout, j.par}] = res
-		errs[key{j.fanout, j.par}] = err
-		mu.Unlock()
-	}
-	n := s.parallelism()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for _, j := range jobs {
-			runOne(j)
-		}
-	} else {
-		ch := make(chan job)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					runOne(j)
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-	}
+		errs[i] = err
+	})
 
 	// Rows assemble serially in fanout/paradigm order from the settled
-	// map, so parallel output is byte-identical to serial.
+	// slots, so parallel output is byte-identical to serial.
 	rows := make([]TopoRow, 0, len(fanouts))
-	for _, f := range fanouts {
+	for fi, f := range fanouts {
 		row := TopoRow{
 			Topology:           spec.Name,
 			Fanout:             f,
@@ -205,12 +160,12 @@ func (s *Suite) TopoCrossover(spec *topo.Spec, fanouts []int) ([]TopoRow, error)
 			InterNodeWireBytes: map[sim.Paradigm]core.Bytes{},
 			InterNodeHopBytes:  map[sim.Paradigm]core.Bytes{},
 		}
-		for _, par := range TopoCrossoverParadigms() {
-			k := key{f, par}
-			if err := errs[k]; err != nil {
+		for pi, par := range pars {
+			i := fi*len(pars) + pi
+			if err := errs[i]; err != nil {
 				return nil, fmt.Errorf("experiments: topo crossover fanout %d/%s: %w", f, par, err)
 			}
-			res := results[k]
+			res := results[i]
 			row.Time[par] = res.Time
 			row.Goodput[par] = res.Goodput()
 			row.IntraGoodput[par] = res.IntraNodeGoodput()

@@ -204,7 +204,7 @@ func (r *SuiteRunner) runObserve(ctx context.Context, spec JobSpec, progress fun
 	if r.onRun != nil {
 		r.onRun()
 	}
-	res, rec, err := s.ObservedRunContext(ctx, spec.Workload, par, oc)
+	res, rec, err := s.ObservedRun(ctx, spec.Workload, par, oc)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (r *SuiteRunner) runReport(ctx context.Context, spec JobSpec, progress func
 	}
 	progress(Progress{Stage: "running", Detail: "report sweep"})
 	var buf bytes.Buffer
-	if err := s.WriteReportContext(ctx, &buf); err != nil {
+	if err := s.WriteReport(ctx, &buf); err != nil {
 		return nil, err
 	}
 	progress(Progress{Stage: "rendering"})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,7 +156,7 @@ func TestServerE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rec, err := suite.ObservedRun(norm.Workload, par, obs.Config{})
+	res, rec, err := suite.ObservedRun(context.Background(), norm.Workload, par, obs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +477,7 @@ func TestReportJobE2E(t *testing.T) {
 	suite := experiments.New(cfg, params, norm.GPUs)
 	suite.Parallelism = 1
 	var want bytes.Buffer
-	if err := suite.WriteReport(&want); err != nil {
+	if err := suite.WriteReport(context.Background(), &want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {

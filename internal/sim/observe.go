@@ -17,8 +17,18 @@ func RunObserved(tr *trace.Trace, par Paradigm, cfg Config, rec *obs.Recorder) (
 	return run(tr, par, cfg, rec)
 }
 
-// RunSourceObserved is RunSource with an attached observability recorder
-// (nil rec selects the plain disabled path, exactly as with RunObserved).
+// RunSourceObserved replays a streaming trace source under one paradigm,
+// with an attached observability recorder (nil rec selects the plain
+// disabled path, exactly as with RunObserved). It is RunObserved for
+// traces that never materialize: the runner holds one iteration window
+// at a time, so a synthesized or file-backed source replays in O(window)
+// memory regardless of trace length. A slice-backed source produces a
+// Result identical to Run on the underlying trace.
+//
+// Unlike Run, the trace is not validated up front (that would require a
+// full pass): sources are responsible for yielding valid iterations, and
+// a window that fails the source's own validation surfaces as a run
+// error at the iteration boundary.
 func RunSourceObserved(src trace.IterationSource, par Paradigm, cfg Config, rec *obs.Recorder) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -39,23 +39,6 @@ func Run(tr *trace.Trace, par Paradigm, cfg Config) (*Result, error) {
 	return run(tr, par, cfg, nil)
 }
 
-// RunSource replays a streaming trace source under one paradigm. It is
-// Run for traces that never materialize: the runner holds one iteration
-// window at a time, so a synthesized or file-backed source replays in
-// O(window) memory regardless of trace length. A slice-backed source
-// produces a Result identical to Run on the underlying trace.
-//
-// Unlike Run, the trace is not validated up front (that would require a
-// full pass): sources are responsible for yielding valid iterations, and
-// a window that fails the source's own validation surfaces as a run
-// error at the iteration boundary.
-func RunSource(src trace.IterationSource, par Paradigm, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return runSource(src, par, cfg, nil)
-}
-
 // run is the shared body of Run and RunObserved (observe.go); rec nil
 // means observability off.
 func run(tr *trace.Trace, par Paradigm, cfg Config, rec *obs.Recorder) (*Result, error) {

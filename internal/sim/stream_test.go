@@ -37,7 +37,7 @@ func TestSourceMatchesSlice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: slice run: %v", w.Name(), par, err)
 			}
-			got, err := RunSource(trace.NewSliceSource(tr), par, cfg)
+			got, err := RunSourceObserved(trace.NewSliceSource(tr), par, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: source run: %v", w.Name(), par, err)
 			}
@@ -49,7 +49,7 @@ func TestSourceMatchesSlice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", w.Name(), err)
 			}
-			streamed, err := RunSource(r.Source(), par, cfg)
+			streamed, err := RunSourceObserved(r.Source(), par, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: streamed run: %v", w.Name(), par, err)
 			}
@@ -82,7 +82,7 @@ func TestSynthRepeatRunIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSource(src, FinePack, cfg)
+		res, err := RunSourceObserved(src, FinePack, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestSynthRepeatRunIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunSource(r.Source(), FinePack, cfg)
+	c, err := RunSourceObserved(r.Source(), FinePack, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ func ringSource(t *testing.T, gpus int) *collective.Source {
 func TestRunSourceWithTopology(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = twinSpec()
-	res, err := RunSource(ringSource(t, 4), FinePack, cfg)
+	res, err := RunSourceObserved(ringSource(t, 4), FinePack, cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSource: %v", err)
+		t.Fatalf("RunSourceObserved: %v", err)
 	}
 	if res.Topology != "twin2x2" {
 		t.Fatalf("Topology = %q, want twin2x2", res.Topology)
@@ -104,9 +104,9 @@ func TestFlatRunKeepsTopologyFieldsZero(t *testing.T) {
 func TestInfiniteParadigmDropsTopology(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = twinSpec()
-	res, err := RunSource(ringSource(t, 4), Infinite, cfg)
+	res, err := RunSourceObserved(ringSource(t, 4), Infinite, cfg, nil)
 	if err != nil {
-		t.Fatalf("RunSource: %v", err)
+		t.Fatalf("RunSourceObserved: %v", err)
 	}
 	if res.Topology != "" {
 		t.Fatalf("Infinite run recorded topology %q, want none", res.Topology)
@@ -121,7 +121,7 @@ func TestInfiniteParadigmDropsTopology(t *testing.T) {
 func TestTopologyGPUMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = twinSpec() // 4 GPUs
-	if _, err := RunSource(ringSource(t, 8), FinePack, cfg); err == nil {
+	if _, err := RunSourceObserved(ringSource(t, 8), FinePack, cfg, nil); err == nil {
 		t.Fatal("expected GPU-count mismatch error, got nil")
 	}
 }
@@ -133,9 +133,9 @@ func TestTopologyDeterminism(t *testing.T) {
 	run := func() *Result {
 		cfg := DefaultConfig()
 		cfg.Topology = twinSpec()
-		res, err := RunSource(ringSource(t, 4), FinePack, cfg)
+		res, err := RunSourceObserved(ringSource(t, 4), FinePack, cfg, nil)
 		if err != nil {
-			t.Fatalf("RunSource: %v", err)
+			t.Fatalf("RunSourceObserved: %v", err)
 		}
 		return res
 	}
@@ -154,9 +154,9 @@ func TestTopologyParadigmsCompared(t *testing.T) {
 	for _, par := range []Paradigm{P2P, FinePack} {
 		cfg := DefaultConfig()
 		cfg.Topology = twinSpec()
-		res, err := RunSource(ringSource(t, 4), par, cfg)
+		res, err := RunSourceObserved(ringSource(t, 4), par, cfg, nil)
 		if err != nil {
-			t.Fatalf("RunSource(%v): %v", par, err)
+			t.Fatalf("RunSourceObserved(%v): %v", par, err)
 		}
 		results[par] = res
 	}

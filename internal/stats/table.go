@@ -38,6 +38,14 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
+// WithTitle returns a copy of t under another title (empty for none); the
+// copy shares t's rows, so neither may gain rows afterwards.
+func (t *Table) WithTitle(title string) *Table {
+	c := *t
+	c.title = title
+	return &c
+}
+
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
